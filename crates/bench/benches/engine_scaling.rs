@@ -22,9 +22,9 @@
 //!   frontier masks exist for.
 //! * `density_sweep/p65536/active{1,4,16,64,100}pct` — one dense-entry
 //!   superstep whose sender count sweeps the active fraction 1% → 100% in
-//!   ×4 steps, so the measured density crossover (`pbw_sim::density`) is
-//!   exercised on both sides of its break-even point and the regression
-//!   gate pins the whole curve, not one regime.
+//!   ×4 steps: the parallel closure pass over all p, then the single
+//!   sender-set tally path at every density, so the regression gate pins
+//!   the whole curve, not one regime.
 //! * `qsm_sparse/p65536` — a QSM phase with 16 active processors (one
 //!   read + one write each) through `phase_active`, pinning the sparse
 //!   contention-audit path.
@@ -157,11 +157,10 @@ fn bench_sparse_sweep(c: &mut Criterion) {
 }
 
 fn bench_density_sweep(c: &mut Criterion) {
-    // One dense-entry superstep per iteration; the engine's measured
-    // crossover (`pbw_sim::density`) decides per superstep whether the
-    // delivery side walks all p processors or just the discovered senders.
-    // Sweeping the active fraction 1% → 100% in ×4 steps pins both regimes
-    // and the neighborhood of the break-even point.
+    // One dense-entry superstep per iteration: the closure pass walks all
+    // p processors, everything after it only the discovered senders.
+    // Sweeping the active fraction 1% → 100% in ×4 steps pins that single
+    // path from nearly idle to fully dense.
     let mut group = c.benchmark_group("density_sweep");
     group.sample_size(10);
     let p = 1usize << 16;

@@ -254,15 +254,9 @@ fn send_round(
         }
     };
     // Retransmission residuals are sparse by construction (a handful of
-    // lossy edges out of p processors); route them through the active-set
-    // path so recovery rounds cost O(senders + flits), not O(p). The
-    // sparse/dense split is the measured crossover from `pbw_sim::density`.
-    let active = wl.active_senders();
-    if pbw_sim::density::crossover(active.len(), wl.p()) {
-        machine.superstep_active(&active, body);
-    } else {
-        machine.superstep(body);
-    }
+    // lossy edges out of p processors); the active-set path makes recovery
+    // rounds cost O(senders + flits), not O(p).
+    machine.superstep_active(&wl.active_senders(), body);
 }
 
 /// Run `wl` to completion over a (possibly faulty) network, retransmitting
@@ -467,11 +461,7 @@ impl<'a> RecoverySession<'a> {
                         };
                     let ackers: Vec<Pid> =
                         (0..self.wl.p()).filter(|&d| !acks[d].is_empty()).collect();
-                    if pbw_sim::density::crossover(ackers.len(), self.wl.p()) {
-                        self.machine.superstep_active(&ackers, ack_body);
-                    } else {
-                        self.machine.superstep(ack_body);
-                    }
+                    self.machine.superstep_active(&ackers, ack_body);
                     self.ack_supersteps += 1;
                     self.scan();
                     self.resume = Resume::BackoffEnter;

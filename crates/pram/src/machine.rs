@@ -205,11 +205,8 @@ impl<'a> PramCtx<'a> {
 /// Audit-representation crossover: a step is "dense" (flat-array tallies,
 /// O(m) clears) when the shared memory holds at most this many cells per
 /// participating processor; sparser steps use the epoch-stamped tallies.
-/// This is a *cells-vs-procs* axis, distinct from the active-senders-vs-p
-/// crossover that `pbw_sim::density` calibrates at runtime (this crate
-/// doesn't depend on `pbw-sim`); the ratio matches that module's
-/// `DEFAULT_FACTOR`, and either representation yields identical verdicts,
-/// so the constant only moves wall-clock.
+/// This is a *cells-vs-procs* axis; either representation yields identical
+/// verdicts, so the constant only moves wall-clock.
 const DENSE_AUDIT_CELLS_PER_PROC: usize = 4;
 
 #[derive(Clone)]

@@ -12,11 +12,11 @@
 //!
 //! 1. **Counting pass** — the engine walks its outboxes (and fault fates,
 //!    retained inboxes and due late arrivals) once, accumulating the exact
-//!    number of payloads each destination will receive, then opens a fill
-//!    with [`MsgArena::begin`] (dense count table) or
-//!    [`MsgArena::begin_sparse`] (epoch-stamped dirty counts from the
-//!    active-set path). Both lay the segments out by prefix sum and arm one
-//!    write cursor per counted destination.
+//!    number of payloads each destination will receive — either straight
+//!    into the segment table ([`MsgArena::count`], opened by
+//!    [`MsgArena::begin_counted`]) or into an epoch-stamped table opened by
+//!    [`MsgArena::begin_sparse`]. Both lay the segments out by prefix sum
+//!    and arm one write cursor per counted destination.
 //! 2. **Placement pass** — the engine replays its *sequential delivery
 //!    order* (source pid, then send order, then due arrivals), calling
 //!    [`MsgArena::place`] for each payload. Because segment `d` is written
@@ -32,10 +32,10 @@
 //! Segment validity is tracked by an epoch stamp per destination instead of
 //! a dense offset table zeroed every superstep: a destination's segment is
 //! meaningful only if its stamp equals the arena's current epoch, and both
-//! [`MsgArena::clear`] and the `begin` variants reset the arena by bumping
-//! the epoch — O(1), never an O(p) `fill(0)`. [`MsgArena::begin_sparse`]
-//! additionally lays out segments for *only the counted destinations*, so a
-//! whole fill costs O(touched + messages) regardless of `p`. Unstamped
+//! [`MsgArena::clear`] and [`MsgArena::begin_sparse`] reset the arena by
+//! bumping the epoch — O(1), never an O(p) `fill(0)`. Both fills lay out
+//! segments for *only the counted destinations*, so a whole fill costs
+//! O(touched + messages) regardless of `p`. Unstamped
 //! destinations read as empty. The arena also publishes the list of
 //! destinations that received at least one message ([`MsgArena::touched`]),
 //! which is how the sparse engines seed the next superstep's frontier
@@ -88,7 +88,7 @@ pub(crate) struct MsgArena<M> {
     data: Vec<M>,
     /// Per-destination segment table.
     segs: Vec<Seg>,
-    /// Current epoch; bumped by `clear` and both `begin` variants. A `u32`
+    /// Current epoch; bumped by `clear` and `begin_sparse`. A `u32`
     /// can wrap within a very long run, so the bump hard-resets every stamp
     /// when it does (once per ~4G resets) — stale stamps never alias.
     epoch: u32,
@@ -150,46 +150,6 @@ impl<M> MsgArena<M> {
         } else {
             self.epoch += 1;
         }
-    }
-
-    /// Open a fill from a dense count table: lay out one segment per
-    /// destination sized by `counts` and arm the write cursors. Any
-    /// previous contents are dropped. O(p) — the dense engines' entry point.
-    ///
-    /// # Panics
-    /// Panics if `counts.len() != dests()` or a fill is already open.
-    pub(crate) fn begin(&mut self, counts: &[usize]) {
-        assert_eq!(
-            counts.len(),
-            self.dests(),
-            "count table must cover every destination"
-        );
-        assert!(!self.filling, "begin while a fill is already open");
-        self.data.clear();
-        self.bump_epoch();
-        self.touched.clear();
-        let mut total = 0usize;
-        for (d, &c) in counts.iter().enumerate() {
-            let seg = &mut self.segs[d];
-            seg.stamp = self.epoch;
-            seg.start = total as u32;
-            seg.cursor = total as u32;
-            total += c;
-            seg.end = total as u32;
-            if c > 0 {
-                self.touched.insert(d);
-            }
-        }
-        // Truncated u32 offsets are never observed: the fill aborts here
-        // before any placement can read them.
-        assert!(
-            total <= u32::MAX as usize,
-            "fill exceeds u32 payload indexing"
-        );
-        self.data.reserve(total);
-        self.total = total;
-        self.placed = 0;
-        self.filling = true;
     }
 
     /// Open a fill from an epoch-stamped count table, laying out segments
@@ -406,7 +366,7 @@ impl<M> MsgArena<M> {
         );
         // SAFETY: exactly `total` slots were initialized by `place` (one per
         // placement, each at a distinct index by the per-destination cursor
-        // discipline) into capacity reserved by `begin`.
+        // discipline) into capacity reserved when the fill was opened.
         unsafe { self.data.set_len(self.total) };
         self.filling = false;
     }
@@ -452,6 +412,16 @@ impl<M> MsgArena<M> {
 mod tests {
     use super::*;
 
+    /// Open a fill from a dense count table (one entry per destination)
+    /// through the engines' count/`begin_counted` protocol.
+    fn begin_dense<M>(a: &mut MsgArena<M>, counts: &[usize]) {
+        a.clear();
+        for (d, &c) in counts.iter().enumerate() {
+            a.count(d, c);
+        }
+        a.begin_counted();
+    }
+
     #[test]
     fn fresh_arena_has_empty_inboxes() {
         let a: MsgArena<u32> = MsgArena::new(4);
@@ -466,7 +436,7 @@ mod tests {
     #[test]
     fn fill_preserves_interleaved_delivery_order() {
         let mut a: MsgArena<u32> = MsgArena::new(3);
-        a.begin(&[2, 0, 3]);
+        begin_dense(&mut a, &[2, 0, 3]);
         // Delivery order interleaves destinations, as the engines' replay
         // does.
         a.place(2, 20);
@@ -484,11 +454,11 @@ mod tests {
     #[test]
     fn refill_reuses_without_stale_contents() {
         let mut a: MsgArena<String> = MsgArena::new(2);
-        a.begin(&[1, 1]);
+        begin_dense(&mut a, &[1, 1]);
         a.place(0, "a".into());
         a.place(1, "b".into());
         a.finish();
-        a.begin(&[0, 2]);
+        begin_dense(&mut a, &[0, 2]);
         a.place(1, "c".into());
         a.place(1, "d".into());
         a.finish();
@@ -499,7 +469,7 @@ mod tests {
     #[test]
     fn clear_empties_every_segment() {
         let mut a: MsgArena<u8> = MsgArena::new(2);
-        a.begin(&[1, 1]);
+        begin_dense(&mut a, &[1, 1]);
         a.place(0, 1);
         a.place(1, 2);
         a.finish();
@@ -564,7 +534,7 @@ mod tests {
     #[should_panic(expected = "counted segment")]
     fn overflowing_a_segment_panics() {
         let mut a: MsgArena<u8> = MsgArena::new(2);
-        a.begin(&[1, 0]);
+        begin_dense(&mut a, &[1, 0]);
         a.place(0, 1);
         a.place(0, 2);
     }
@@ -573,7 +543,7 @@ mod tests {
     #[should_panic(expected = "disagree")]
     fn underfilling_panics_at_finish() {
         let mut a: MsgArena<u8> = MsgArena::new(1);
-        a.begin(&[2]);
+        begin_dense(&mut a, &[2]);
         a.place(0, 1);
         a.finish();
     }
@@ -582,7 +552,7 @@ mod tests {
     #[should_panic(expected = "open fill")]
     fn inbox_read_during_fill_panics() {
         let mut a: MsgArena<u8> = MsgArena::new(1);
-        a.begin(&[1]);
+        begin_dense(&mut a, &[1]);
         let _ = a.inbox(0);
     }
 
@@ -591,7 +561,7 @@ mod tests {
         let mut a: MsgArena<u64> = MsgArena::new(8);
         let counts = [4usize; 8];
         for round in 0..3 {
-            a.begin(&counts);
+            begin_dense(&mut a, &counts);
             for d in 0..8 {
                 for k in 0..4 {
                     a.place(d, (round * 100 + d * 10 + k) as u64);
@@ -601,7 +571,7 @@ mod tests {
         }
         let cap_after_warmup = a.data.capacity();
         for round in 3..10 {
-            a.begin(&counts);
+            begin_dense(&mut a, &counts);
             for d in 0..8 {
                 for k in 0..4 {
                     a.place(d, (round * 100 + d * 10 + k) as u64);
@@ -616,7 +586,7 @@ mod tests {
     #[test]
     fn dense_and_sparse_fills_serve_identical_inboxes() {
         let mut dense: MsgArena<u32> = MsgArena::new(6);
-        dense.begin(&[0, 2, 0, 0, 1, 0]);
+        begin_dense(&mut dense, &[0, 2, 0, 0, 1, 0]);
         dense.place(4, 40);
         dense.place(1, 11);
         dense.place(1, 12);

@@ -191,44 +191,32 @@ pub struct BspMachine<S, M> {
     /// worse than a stalled one: closure skipped, no stall retention,
     /// incoming custody transfers destroyed.
     crashed: FrontierMask,
-    /// Per-processor receive counts (deliveries only; retained inboxes are
-    /// not recounted) — dense path.
-    recv_counts: Vec<u64>,
-    /// Counting-pass scratch: exact per-destination arena segment sizes —
-    /// dense path.
-    arena_counts: Vec<usize>,
-    /// Sparse-path counting scratch: epoch-stamped per-destination segment
+    /// Hooked counting scratch: epoch-stamped per-destination arena segment
     /// sizes, reset in O(1) by an epoch bump instead of an O(p) `fill(0)`.
-    sparse_arena_counts: EpochCounts,
-    /// Sparse-path receive counts, epoch-stamped like `sparse_arena_counts`.
-    sparse_recv_counts: EpochCounts,
+    /// (Unhooked supersteps count straight into the arena's segment table.)
+    arena_counts: EpochCounts,
+    /// Receive counts, epoch-stamped like `arena_counts`; filled whenever
+    /// they differ from the arena segments (hooked, or late arrivals due).
+    recv_counts: EpochCounts,
     /// Delivery-pass scratch: `seq_lens[k]` counts the senders that posted
     /// exactly `k + 1` all-implicit-slot messages this superstep, feeding
     /// one aggregated histogram update instead of a per-sender scatter.
     /// Zeroed (never shrunk) after each flush, so it allocates only when a
     /// sender exceeds every previous length.
     seq_lens: Vec<u64>,
-    /// Sparse-path frontier scratch: the sorted, deduplicated set of pids
-    /// whose closures run this superstep, unloaded from `frontier_mask` in
-    /// ascending pid order (no sort).
-    frontier: Vec<Pid>,
-    /// Sparse-path sender scratch: the frontier pids that actually posted
-    /// messages this superstep, collected by the fused counting pass so the
-    /// delivery drain revisits only them (a wide receive-only frontier
-    /// contributes nothing to delivery).
+    /// The processors that posted a message or charged work this
+    /// superstep, ascending — every stage after the closure pass walks
+    /// only them (a wide receive-only frontier contributes nothing to
+    /// delivery).
     senders: Vec<Pid>,
-    /// Mask twin of `frontier`: the declared active set OR-ed word-at-a-time
-    /// with the arena's touched mask — insertion *is* dedup, iteration *is*
-    /// the sort.
+    /// The sparse path's frontier: the declared active set OR-ed
+    /// word-at-a-time with the arena's touched mask — insertion *is*
+    /// dedup, iteration *is* the sort.
     frontier_mask: FrontierMask,
     /// Dense-path sender discovery: the parallel closure pass writes one
     /// byte per pid ("posted a message or charged work"), folded into
-    /// `sender_mask` by a word-building sweep. The resulting sender count
-    /// drives the measured density crossover — a dense superstep whose
-    /// senders are sparse takes the epoch-stamped masked branch instead of
-    /// the O(p) flat-array branch, byte-identically.
+    /// `senders` by a word-building sweep.
     sender_flags: Vec<u8>,
-    sender_mask: FrontierMask,
     /// Tracing scratch for per-processor send counts.
     per_proc_sent: Vec<u64>,
     /// Profile accumulator, snapshot-and-reset every superstep.
@@ -272,16 +260,12 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             fates: Vec::new(),
             stalled: FrontierMask::new(p),
             crashed: FrontierMask::new(p),
-            recv_counts: vec![0; p],
-            arena_counts: vec![0; p],
-            sparse_arena_counts: EpochCounts::new(p),
-            sparse_recv_counts: EpochCounts::new(p),
+            arena_counts: EpochCounts::new(p),
+            recv_counts: EpochCounts::new(p),
             seq_lens: Vec::new(),
-            frontier: Vec::new(),
             senders: Vec::new(),
             frontier_mask: FrontierMask::new(p),
             sender_flags: vec![0; p],
-            sender_mask: FrontierMask::new(p),
             per_proc_sent: Vec::new(),
             builder: ProfileBuilder::new(),
             profiles: Vec::new(),
@@ -476,15 +460,12 @@ impl<S: Send, M: Send> BspMachine<S, M> {
     /// senders) and every processor holding a non-empty inbox from the last
     /// boundary (which covers ordinary deliveries, retained stalled inboxes,
     /// and delayed payloads that have landed). Per-superstep cost is
-    /// O(frontier + messages), not O(p): counting and delivery walk only
-    /// frontier outboxes, and the per-destination tallies are epoch-stamped
-    /// ([`EpochCounts`]) so resetting them is an epoch bump, never an O(p)
-    /// `fill(0)`. Exceptions, documented: a machine with a delivery hook
-    /// reads the stall/crash masks word-at-a-time (O(fault-words), filled
-    /// once per superstep via [`DeliveryHook::fill_fault_masks`]), and a
-    /// superstep observed by an enabled trace sink materializes the dense
-    /// per-processor traffic vectors its events carry (zeroed rows, filled
-    /// O(touched)).
+    /// O(frontier + messages), not O(p). Exceptions, documented: a machine
+    /// with a delivery hook reads the stall/crash masks word-at-a-time
+    /// (O(fault-words), filled once per superstep via
+    /// [`DeliveryHook::fill_fault_masks`]), and a superstep observed by an
+    /// enabled trace sink materializes the dense per-processor traffic
+    /// vectors its events carry (zeroed rows, filled O(touched)).
     ///
     /// The result is **byte-identical** to [`BspMachine::try_superstep`] —
     /// same states, profiles, trace events and fault ledger — provided the
@@ -493,11 +474,13 @@ impl<S: Send, M: Send> BspMachine<S, M> {
     /// state, post messages, or charge work. The frontier is iterated in
     /// sorted pid order, so the canonical sequential delivery order (source
     /// pid ascending, then send order, then due late arrivals) is replayed
-    /// exactly; skipped processors only ever contribute
-    /// `record_work(0)`/`record_traffic(0, 0)` no-ops to the profile.
+    /// exactly.
     ///
-    /// # Panics
-    /// Panics if `active` names a pid `>= p`.
+    /// # Errors
+    /// Besides the model-rule violations [`BspMachine::try_superstep`]
+    /// reports, returns [`SimError::BadPid`] if `active` names a pid `>= p`.
+    /// That check runs before anything else, so a rejected call leaves the
+    /// machine exactly as it was.
     pub fn try_superstep_active<F>(
         &mut self,
         active: &[Pid],
@@ -511,13 +494,16 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         self.superstep_core(Some(active), f)
     }
 
-    /// The one superstep implementation behind both paths. `active: None`
-    /// is the dense path (closure runs for all `p` processors, in
-    /// parallel); `active: Some(set)` is the sparse path (closure runs
-    /// sequentially over the sorted frontier). Everything downstream of the
-    /// closure pass — counting, arena fill, fate application, profile and
-    /// trace construction — is shared or shape-identical, which is what
-    /// makes the two paths byte-identical by construction.
+    /// The one superstep implementation behind both entry points. Only the
+    /// closure pass differs: `active: None` runs the closure for all `p`
+    /// processors in parallel and folds their sender flags into the sender
+    /// list; `active: Some(set)` runs it sequentially over the sorted
+    /// frontier. Everything after it — slot resolution, fates, counting,
+    /// delivery, profile and trace rows — walks the ascending sender list
+    /// once, on the epoch-stamped tallies, for hooked and unhooked machines
+    /// alike. A processor that posted nothing and charged no work would
+    /// contribute only `record_work(0)`/`record_traffic(0, 0)` no-ops, which
+    /// is what makes the two entry points byte-identical by construction.
     fn superstep_core<F>(
         &mut self,
         active: Option<&[Pid]>,
@@ -530,6 +516,9 @@ impl<S: Send, M: Send> BspMachine<S, M> {
     {
         let p = self.params.p;
         let step = self.superstep as u64;
+        if let Some(&pid) = active.and_then(|set| set.iter().find(|&&pid| pid >= p)) {
+            return Err(SimError::BadPid { pid, p });
+        }
         // Rotate the arenas: `spare` becomes the read side (last boundary's
         // deliveries), and the arena the previous superstep read from is
         // cleared for refill. If this superstep is rejected below, `inboxes`
@@ -545,8 +534,7 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         // in one hook call — `fill_fault_masks` lets a hook that knows its
         // fault windows in closed form (FaultPlan with zero rates) insert
         // O(windows) bits instead of answering p per-pid queries. The masks
-        // are only ever read behind `hooked`, so the unhooked paths touch
-        // nothing p-sized here.
+        // are only ever read behind `hooked`.
         let hook = self.hook.clone();
         let hooked = hook.is_some();
         let tracing = self.sink.enabled();
@@ -560,161 +548,30 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             h.fill_fault_masks(step, &mut self.stalled, &mut self.crashed);
         }
 
-        // Sparse path: build the frontier — the caller's declared active set
-        // plus every processor whose inbox from the last boundary is
-        // non-empty (ordinary deliveries, retained stalled inboxes, and
-        // landed delayed payloads all live there, so `spare.touched()`
-        // covers them without scanning p inboxes). The mask OR is the dedup
-        // and its ascending-pid unload is the sort, so the old
-        // sort+dedup over the concatenated lists is gone. Sorted pid order
-        // is what replays the dense path's canonical delivery order exactly.
-        if let Some(declared) = active {
-            self.frontier.clear();
-            if declared.is_empty() {
-                // Nothing declared: the frontier is exactly the touched
-                // mask, already deduplicated and ascending — skip the
-                // scratch mask entirely. Unhooked, the pid list itself is
-                // skipped too: the closure pass iterates the mask directly
-                // and every later stage walks the sender list instead.
-                if hooked {
-                    self.spare.touched().push_to(&mut self.frontier);
-                }
-            } else {
-                self.frontier_mask.clear();
-                for &pid in declared {
-                    assert!(
-                        pid < p,
-                        "active set names processor {pid}, but the machine has {p} processors"
-                    );
-                    self.frontier_mask.insert(pid);
-                }
-                self.frontier_mask.union_with(self.spare.touched());
-                self.frontier_mask.push_to(&mut self.frontier);
-            }
-        }
-
         // Individual slot values are only ever read by the hooked fate
         // machinery and the trace multiplicity scan; plain unhooked,
         // untraced supersteps keep the all-implicit marker instead.
         let materialize_slots = hooked || tracing;
         if tracing {
-            // Trace events carry dense per-processor traffic vectors; the
-            // sparse path materializes them too (O(p), tracing only).
+            // Trace events carry dense per-processor traffic vectors (O(p),
+            // tracing only).
             self.per_proc_sent.clear();
             self.per_proc_sent.resize(p, 0);
         }
-        // First resolution error found by the fused sparse closure pass
-        // below (reported only after every frontier closure has run, like
-        // the unfused paths), and the max messages any one sender posted.
-        let mut sparse_err: Option<SimError> = None;
-        let mut sparse_max_sent = 0u64;
 
-        // Closure pass. Dense: all p processors in parallel, each filling
-        // its recycled outbox and flagging itself as a sender (one byte,
-        // written unconditionally — the flag lane is what the density
-        // crossover below folds into the sender mask, and writing it here
-        // costs nothing next to the outbox reset it shares a cache line
-        // with). Sparse: sequentially over the sorted frontier — the
-        // frontier is small by contract, and a sequential pass is trivially
-        // deterministic at every PBW_THREADS width. Unhooked, each sender's
-        // slot resolution, destination counting, and profile facts run
-        // right after its closure returns, while the outbox is hot in
-        // cache — see `fused_sender_pass`.
-        //
-        // The macro is the per-sender tail of that fused pass: record the
-        // sender, resolve/validate its slots (first error wins, reported
-        // only after every closure has run, exactly like the unfused
-        // paths), bucket the injection histogram, count destinations
-        // straight into the arena's segment table, and track the traffic
-        // maximum. A sender whose validation fails contributes nothing
-        // further — everything already recorded is discarded wholesale by
-        // the error unwind in the delivery arm below.
-        macro_rules! fused_sender_pass {
-            ($pid:expr) => {{
-                let pid = $pid;
-                let out = &self.outboxes[pid];
-                if !out.envelopes.is_empty() || out.work != 0 {
-                    self.senders.push(pid);
-                    if out.work != 0 {
-                        self.builder.record_work(out.work);
-                    }
-                    if out.envelopes.is_empty() {
-                        // Work-only sender: nothing to resolve or count,
-                        // but the trace multiplicity scan walks this pid's
-                        // slot buffer — keep it cleared.
-                        if materialize_slots {
-                            self.resolved[pid].clear();
-                        }
-                    } else {
-                        let n = out.envelopes.len();
-                        let mut ok = true;
-                        if !materialize_slots && out.explicit == 0 {
-                            // Plain `send`s, slots unread anywhere:
-                            // validate the dests lane inline and bucket the
-                            // all-implicit histogram marker without
-                            // touching the slot buffer —
-                            // `resolve_slots_into`'s fast path minus the
-                            // call and the buffer clear (stale slots are
-                            // fine: no consumer reads them when
-                            // `materialize` is off).
-                            let mut max = 0usize;
-                            for &d in &out.dests {
-                                max = max.max(d);
-                            }
-                            if max >= p {
-                                if sparse_err.is_none() {
-                                    let dest =
-                                        out.dests.iter().copied().find(|&d| d >= p).unwrap_or(max);
-                                    sparse_err = Some(SimError::BadDestination { pid, dest });
-                                }
-                                ok = false;
-                            } else {
-                                if self.seq_lens.len() < n {
-                                    self.seq_lens.resize(n, 0);
-                                }
-                                self.seq_lens[n - 1] += 1;
-                            }
-                        } else {
-                            match resolve_slots_into(
-                                pid,
-                                p,
-                                out,
-                                &mut self.resolved[pid],
-                                materialize_slots,
-                            ) {
-                                Err(e) => {
-                                    if sparse_err.is_none() {
-                                        sparse_err = Some(e);
-                                    }
-                                    ok = false;
-                                }
-                                Ok(()) => {
-                                    let slots = &self.resolved[pid];
-                                    if slots.is_empty() {
-                                        if self.seq_lens.len() < n {
-                                            self.seq_lens.resize(n, 0);
-                                        }
-                                        self.seq_lens[n - 1] += 1;
-                                    } else {
-                                        debug_assert_eq!(slots.len(), n);
-                                        self.builder.record_injections_batch(slots);
-                                    }
-                                }
-                            }
-                        }
-                        if ok {
-                            if tracing {
-                                self.per_proc_sent[pid] = n as u64;
-                            }
-                            self.inboxes.count_ones(out.dests());
-                            sparse_max_sent = sparse_max_sent.max(n as u64);
-                        }
-                    }
-                }
-            }};
-        }
+        // Closure pass, collecting the ascending sender list. Stalled and
+        // crashed pids skip their closure with a reset outbox, so they are
+        // never senders. Unhooked, each sender's tally (`tally_sender`) runs
+        // straight after the pass — or, sequentially, right after its own
+        // closure while the outbox is hot; the first error wins and is
+        // reported only after every closure has run.
+        let mut err: Option<SimError> = None;
+        self.senders.clear();
         match active {
             None => {
+                // All p processors in parallel, each flagging itself as a
+                // sender (one byte, written unconditionally next to the
+                // outbox reset it shares a cache line with).
                 let f = &f;
                 let stalled = &self.stalled;
                 let crashed = &self.crashed;
@@ -735,165 +592,113 @@ impl<S: Send, M: Send> BspMachine<S, M> {
                         *flag = (!out.envelopes.is_empty() || out.work != 0) as u8;
                     })
                     .collect();
-            }
-            Some(declared) if !hooked && declared.is_empty() => {
-                // Frontier = touched mask verbatim: iterate it in place —
-                // same ascending pid order, no materialized pid list. The
-                // sender check runs while the outbox is hot in cache; the
-                // fused pass below then revisits only senders, never the
-                // (typically much wider) receive-only part of the frontier.
-                self.senders.clear();
-                for (w, word) in self.spare.touched().words() {
-                    let base = w * 64;
-                    let mut bits = word;
-                    while bits != 0 {
-                        let pid = base + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        if !outboxes_were_clean {
-                            self.outboxes[pid].reset();
-                        }
-                        f(
-                            pid,
-                            &mut self.states[pid],
-                            self.spare.inbox(pid),
-                            &mut self.outboxes[pid],
-                        );
-                        fused_sender_pass!(pid);
+                for (leaf, chunk) in self.sender_flags.chunks(64).enumerate() {
+                    let mut word = 0u64;
+                    for (bit, &flag) in chunk.iter().enumerate() {
+                        word |= (flag as u64) << bit;
+                    }
+                    while word != 0 {
+                        self.senders
+                            .push(leaf * 64 + word.trailing_zeros() as usize);
+                        word &= word - 1;
                     }
                 }
-            }
-            Some(_) => {
-                self.senders.clear();
-                for i in 0..self.frontier.len() {
-                    let pid = self.frontier[i];
-                    if !outboxes_were_clean {
-                        self.outboxes[pid].reset();
-                    }
-                    if !(hooked && (self.stalled.contains(pid) || self.crashed.contains(pid))) {
-                        f(
-                            pid,
-                            &mut self.states[pid],
-                            self.spare.inbox(pid),
-                            &mut self.outboxes[pid],
-                        );
-                    }
-                    if !hooked {
-                        fused_sender_pass!(pid);
-                    }
-                }
-            }
-        }
-
-        // Measured density crossover (dense, unhooked): fold the sender
-        // flags into a mask, and if the senders are sparse enough — per the
-        // once-per-process calibration in `crate::density` — run the rest
-        // of the superstep over the sender set with the epoch-stamped
-        // tallies, exactly as `superstep_active` would. Byte-identical
-        // either way: a flag-less processor has an empty outbox and zero
-        // work, so the only facts it would contribute downstream are
-        // `record_work(0)`/`record_traffic(0, 0)` no-ops, and the parallel
-        // pass above has already reset *all* p outboxes, so no stale buffer
-        // can be read. Hooked dense supersteps keep the flat-array branch:
-        // stall retention and crash accounting want the full-width scans.
-        let mut dense_masked = false;
-        if active.is_none() && !hooked {
-            self.sender_mask.clear();
-            let mut senders = 0usize;
-            for (leaf, chunk) in self.sender_flags.chunks(64).enumerate() {
-                let mut word = 0u64;
-                for (bit, &flag) in chunk.iter().enumerate() {
-                    word |= (flag as u64) << bit;
-                }
-                if word != 0 {
-                    self.sender_mask.insert_word(leaf, word);
-                    senders += word.count_ones() as usize;
-                }
-            }
-            dense_masked = crate::density::crossover(senders, p);
-            if dense_masked {
-                self.frontier.clear();
-                self.sender_mask.push_to(&mut self.frontier);
-            }
-        }
-        // Everything below branches on the tally representation, not on the
-        // caller's path: the masked dense branch *is* the sparse branch run
-        // over the sender set.
-        let sparse_tallies = active.is_some() || dense_masked;
-
-        // Slot resolution + validation of the one-injection-per-step rule,
-        // into the recycled slot buffers. Dense: a parallel fallible collect
-        // that surfaces the lowest-pid error. Sparse (and masked dense):
-        // sequential over the frontier — non-frontier outboxes are either
-        // stale from an earlier superstep (sparse) or freshly reset and
-        // empty (masked dense), and are neither resolved nor read anywhere
-        // below; ascending frontier order surfaces the same lowest-pid
-        // error, since only senders can err.
-        match sparse_tallies {
-            false => {
-                let validated: Result<Vec<()>, SimError> = self
-                    .outboxes
-                    .par_iter()
-                    .zip(self.resolved.par_iter_mut())
-                    .enumerate()
-                    .map(|(pid, (out, slots))| {
-                        resolve_slots_into(pid, p, out, slots, materialize_slots)
-                    })
-                    .collect();
-                validated?;
-            }
-            true => {
-                // Hooked sparse supersteps resolve up front: the fate batch
-                // below consumes the slot sequences. Unhooked ones defer
-                // resolution into the fused counting pass further down —
-                // one streaming pass over the frontier outboxes, not two.
-                if hooked {
-                    for &pid in &self.frontier {
-                        resolve_slots_into(
+                if !hooked {
+                    for &pid in &self.senders {
+                        if let Err(e) = tally_sender(
                             pid,
                             p,
                             &self.outboxes[pid],
                             &mut self.resolved[pid],
                             materialize_slots,
-                        )?;
+                            &mut self.seq_lens,
+                            &mut self.builder,
+                            &mut self.inboxes,
+                        ) {
+                            err = Some(e);
+                            break;
+                        }
+                    }
+                }
+            }
+            Some(declared) => {
+                // The frontier: the declared set plus every pid whose inbox
+                // from the last boundary is non-empty (ordinary deliveries,
+                // retained stalled inboxes and landed delayed payloads all
+                // live there, so `spare.touched()` covers them without
+                // scanning p inboxes). The mask OR is the dedup and its
+                // ascending word walk the sort — the order that replays the
+                // canonical delivery order exactly.
+                let frontier = if declared.is_empty() {
+                    self.spare.touched()
+                } else {
+                    self.frontier_mask.clear();
+                    for &pid in declared {
+                        self.frontier_mask.insert(pid);
+                    }
+                    self.frontier_mask.union_with(self.spare.touched());
+                    &self.frontier_mask
+                };
+                for (leaf, word) in frontier.words() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        let pid = leaf * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let out = &mut self.outboxes[pid];
+                        if !outboxes_were_clean {
+                            out.reset();
+                        }
+                        if !(hooked && (self.stalled.contains(pid) || self.crashed.contains(pid))) {
+                            f(pid, &mut self.states[pid], self.spare.inbox(pid), out);
+                        }
+                        if out.envelopes.is_empty() && out.work == 0 {
+                            continue;
+                        }
+                        self.senders.push(pid);
+                        if !hooked && err.is_none() {
+                            err = tally_sender(
+                                pid,
+                                p,
+                                out,
+                                &mut self.resolved[pid],
+                                materialize_slots,
+                                &mut self.seq_lens,
+                                &mut self.builder,
+                                &mut self.inboxes,
+                            )
+                            .err();
+                        }
                     }
                 }
             }
         }
 
-        // Fates are pure in `(superstep, src, dest, msg_idx, slot)`, so on
-        // the dense path they are *computed* in a parallel pass; the
-        // sequential loop below only *applies* them, preserving the fixed
-        // delivery order the ledger, pending queue, and traces are defined
-        // by. The sparse path computes them sequentially over the frontier
-        // (purity makes the two orders indistinguishable).
         if let Some(h) = &hook {
+            // Hooked supersteps resolve every sender up front (the fate
+            // batch consumes the slot sequences) and record nothing before
+            // this point, so an error here leaves the builder untouched.
             if self.fates.len() != p {
                 self.fates.resize_with(p, Vec::new);
             }
-            match active {
-                None => {
-                    let _: Vec<()> = self
-                        .outboxes
-                        .par_iter()
-                        .zip(self.resolved.par_iter())
-                        .zip(self.fates.par_iter_mut())
-                        .enumerate()
-                        .map(|(pid, ((out, slots), fates))| {
-                            fates.clear();
-                            h.fate_batch(step, pid, BatchDests::Lane(out.dests()), slots, fates);
-                        })
-                        .collect();
-                }
-                Some(_) => {
-                    for &pid in &self.frontier {
-                        let out = &self.outboxes[pid];
-                        let slots = &self.resolved[pid];
-                        let fates = &mut self.fates[pid];
-                        fates.clear();
-                        h.fate_batch(step, pid, BatchDests::Lane(out.dests()), slots, fates);
-                    }
-                }
+            for &pid in &self.senders {
+                let out = &self.outboxes[pid];
+                let slots = &mut self.resolved[pid];
+                resolve_slots_into(pid, p, out, slots, true)?;
+                // Fates are pure in `(superstep, src, dest, msg_idx, slot)`;
+                // the delivery pass below only *applies* them, in the fixed
+                // order the ledger, pending queue and traces are defined by.
+                let fates = &mut self.fates[pid];
+                fates.clear();
+                h.fate_batch(step, pid, BatchDests::Lane(out.dests()), slots, fates);
             }
+        } else if let Some(e) = err {
+            // The tallies already recorded are discarded wholesale: the
+            // builder and the length buckets end empty, and one epoch bump
+            // drops the partial arena counts.
+            let _ = self.builder.snapshot_reset();
+            self.seq_lens.fill(0);
+            self.inboxes.clear();
+            return Err(e);
         }
 
         // From here on everything is sequential and deterministic. Borrow
@@ -905,17 +710,14 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             ref spare,
             ref mut outboxes,
             ref mut outboxes_clean,
-            ref mut resolved,
+            ref resolved,
             ref fates,
             ref stalled,
             ref crashed,
-            ref mut recv_counts,
             ref mut arena_counts,
-            ref mut sparse_arena_counts,
-            ref mut sparse_recv_counts,
+            ref mut recv_counts,
             ref mut seq_lens,
-            ref frontier,
-            ref mut senders,
+            ref senders,
             ref mut per_proc_sent,
             ref mut builder,
             ref mut profiles,
@@ -938,418 +740,155 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         // Payloads the network is due to release at this boundary (queued by
         // earlier Delay/Duplicate fates). Popped before this superstep's
         // sends are queued, so a `Delay(k)` waits exactly `k` extra steps.
-        let due: Vec<(Pid, M)> = pending.pop_front().unwrap_or_default();
-
-        // Counting pass + delivery. Both branches run the identical
-        // sequence — stall accounting, per-destination counting, arena
-        // layout, retained-inbox re-placement, then `delivery_pass` — over
-        // the same pids in the same order (every non-frontier pid the dense
-        // branch additionally visits holds no messages, by the
-        // `try_superstep_active` contract, so it contributes nothing). Only
-        // the tally representation differs: dense `fill(0)` vectors vs
-        // O(1)-reset epoch-stamped counts.
+        let mut due: Vec<(Pid, M)> = pending.pop_front().unwrap_or_default();
         // Unhooked with no late arrivals, the per-destination receive
-        // tallies are bit-for-bit the arena counts (every counted message
-        // is placed, nothing else is); the sparse arm exploits this below
-        // and the trace row reads the arena counts in that case.
+        // tallies are bit-for-bit the arena counts (every counted message is
+        // placed, nothing else is), so the layout's maximum is the receive
+        // maximum and the trace row reads the arena segments.
         let fuse_recv = !hooked && due.is_empty();
-        let delivered = match sparse_tallies {
-            false => {
-                // Stalled processors keep their undrained inbox (already
-                // counted as delivered at the previous boundary — not
-                // recounted in `recv_counts`); it is retained ahead of this
-                // superstep's deliveries, exactly where the per-destination
-                // push used to put it. A *crashed* processor gets no
-                // retention even if simultaneously stalled: its undrained
-                // inbox simply evaporates at the arena swap, exactly as it
-                // does for a live processor that ignores its inbox, so the
-                // ledger (which counted those payloads delivered at the
-                // previous boundary) is untouched. Both scans walk the
-                // masks word-at-a-time — O(fault-words), not O(p); the
-                // counters are sums and the per-pid updates are disjoint,
-                // so the mask order (ascending pid) reproduces the old
-                // 0..p scan exactly.
-                arena_counts.fill(0);
-                if hooked {
-                    let down = crashed.count() as u64;
-                    fault_stats.crash_steps += down;
-                    counters.crashed_procs += down;
-                    for (leaf, word) in stalled.words() {
-                        let live = word & !crashed.word(leaf);
-                        let retained = u64::from(live.count_ones());
-                        fault_stats.stalled_steps += retained;
-                        counters.stalled_procs += retained;
-                        let mut bits = live;
-                        while bits != 0 {
-                            let pid = leaf * 64 + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            arena_counts[pid] += spare.len(pid);
-                        }
-                    }
-                }
-                for (pid, out) in outboxes.iter().enumerate() {
-                    if hooked {
-                        crate::kernels::count_dests_hooked(
-                            out.dests(),
-                            &fates[pid],
-                            crashed,
-                            arena_counts,
-                        );
-                    } else {
-                        crate::kernels::count_dests(out.dests(), arena_counts);
-                    }
-                }
-                for &(dest, _) in due.iter() {
-                    if !(hooked && crashed.contains(dest)) {
-                        arena_counts[dest] += 1;
-                    }
-                }
-                inboxes.begin(arena_counts);
-                if hooked {
-                    for (leaf, word) in stalled.words() {
-                        let mut bits = word & !crashed.word(leaf);
-                        while bits != 0 {
-                            let pid = leaf * 64 + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            for msg in spare.inbox(pid) {
-                                inboxes.place(pid, msg.clone());
-                            }
-                        }
-                    }
-                }
-                recv_counts.fill(0);
-                let delivered = delivery_pass(
-                    0..p,
-                    outboxes,
-                    resolved,
-                    fates,
-                    hooked,
-                    crashed,
-                    tracing,
-                    per_proc_sent,
-                    inboxes,
-                    builder,
-                    pending,
-                    pending_pool,
-                    fault_stats,
-                    &mut counters,
-                    due,
-                    seq_lens,
-                    |dest| recv_counts[dest] += 1,
-                );
-                inboxes.finish();
-                for &r in recv_counts.iter() {
-                    builder.record_traffic(0, r);
-                }
-                delivered
+        recv_counts.reset();
+        let delivered = if !hooked {
+            // The senders' destinations are already counted into the
+            // arena's segment table; add the late arrivals, lay out, drain.
+            for &(dest, _) in due.iter() {
+                inboxes.count(dest, 1);
             }
-            // Unhooked sparse superstep: one fused streaming pass over the
-            // frontier outboxes does slot resolution, destination counting,
-            // and the per-sender profile facts together (the unfused path
-            // walks the same outboxes three times), and remembers who
-            // actually sent so the delivery drain revisits only senders — a
-            // wide receive-only frontier contributes nothing to delivery.
-            // Every fact lands in the same value the unfused path produces:
-            // work/traffic records are max-updates, the injection histogram
-            // and the destination counts are sums, and the drain places
-            // payloads in the identical ascending (sender pid, send order)
-            // sequence, so the arena bytes and the profile are unchanged.
-            true if !hooked => {
-                // Sparse path: the closure pass recorded the senders *and*
-                // already ran the fused per-sender tail (resolution,
-                // counting, profile facts) while each outbox was hot.
-                // Masked dense: the frontier was *built* from the sender
-                // flags, so it already is the sender set — but its closure
-                // pass ran in parallel over all p, so the fused tail runs
-                // here instead.
-                let live: &[Pid] = if active.is_some() {
-                    &senders[..]
-                } else {
-                    &frontier[..]
-                };
-                let mut err = sparse_err;
-                let mut max_sent = sparse_max_sent;
-                if active.is_none() {
-                    for &pid in live.iter() {
-                        let out = &outboxes[pid];
-                        if out.work != 0 {
-                            builder.record_work(out.work);
-                        }
-                        if out.envelopes.is_empty() {
-                            // Work-only sender: nothing to resolve or
-                            // count, but the trace multiplicity scan walks
-                            // this pid's slot buffer — keep it cleared.
-                            if materialize_slots {
-                                resolved[pid].clear();
-                            }
-                            continue;
-                        }
-                        let n = out.envelopes.len();
-                        if !materialize_slots && out.explicit == 0 {
-                            // Plain `send`s, slots unread anywhere: validate
-                            // the dests lane inline and bucket the
-                            // all-implicit histogram marker without touching
-                            // the slot buffer — `resolve_slots_into`'s fast
-                            // path minus the call and the buffer clear
-                            // (stale slots are fine: no consumer reads them
-                            // when `materialize` is off).
-                            let mut max = 0usize;
-                            for &d in &out.dests {
-                                max = max.max(d);
-                            }
-                            if max >= p {
-                                let dest =
-                                    out.dests.iter().copied().find(|&d| d >= p).unwrap_or(max);
-                                err = Some(SimError::BadDestination { pid, dest });
-                                break;
-                            }
-                            if seq_lens.len() < n {
-                                seq_lens.resize(n, 0);
-                            }
-                            seq_lens[n - 1] += 1;
-                        } else {
-                            if let Err(e) = resolve_slots_into(
-                                pid,
-                                p,
-                                out,
-                                &mut resolved[pid],
-                                materialize_slots,
-                            ) {
-                                err = Some(e);
-                                break;
-                            }
-                            let slots = &resolved[pid];
-                            if slots.is_empty() {
-                                if seq_lens.len() < n {
-                                    seq_lens.resize(n, 0);
-                                }
-                                seq_lens[n - 1] += 1;
-                            } else {
-                                debug_assert_eq!(slots.len(), n);
-                                builder.record_injections_batch(slots);
-                            }
-                        }
-                        if tracing {
-                            per_proc_sent[pid] = n as u64;
-                        }
-                        // Counts accumulate straight into the arena's
-                        // segment table — no second tally structure between
-                        // the counting pass and the layout.
-                        inboxes.count_ones(out.dests());
-                        max_sent = max_sent.max(n as u64);
-                    }
+            let max_recv = inboxes.begin_counted();
+            let mut delivered = 0u64;
+            for &pid in senders.iter() {
+                let out = &mut outboxes[pid];
+                let n = out.envelopes.len() as u64;
+                if tracing {
+                    per_proc_sent[pid] = n;
                 }
-                builder.record_traffic(max_sent, 0);
-                if let Some(e) = err {
-                    // A failed superstep must leave the builder and the
-                    // length buckets empty, exactly as the unfused paths do
-                    // (they resolve everything before recording anything),
-                    // and the arena cleared — one epoch bump discards the
-                    // partial counts.
-                    let _ = builder.snapshot_reset();
-                    for c in seq_lens.iter_mut() {
-                        *c = 0;
-                    }
-                    inboxes.clear();
-                    return Err(e);
-                }
-                for &(dest, _) in due.iter() {
-                    inboxes.count(dest, 1);
-                }
-                let max_recv = inboxes.begin_counted();
-                sparse_recv_counts.reset();
-                let mut delivered = 0u64;
-                for &pid in live.iter() {
-                    let out = &mut outboxes[pid];
-                    let n = out.envelopes.len() as u64;
-                    for env in out.envelopes.drain(..) {
-                        if !fuse_recv {
-                            sparse_recv_counts.add(env.dest, 1);
-                        }
-                        inboxes.place(env.dest, env.payload);
-                    }
-                    // Leave the outbox fully zeroed, not just drained, so
-                    // the next superstep's closure pass can skip its reset
-                    // (`outboxes_clean`).
-                    out.dests.clear();
-                    out.work = 0;
-                    out.explicit = 0;
-                    fault_stats.injected += n;
-                    fault_stats.delivered += n;
-                    delivered += n;
-                }
-                builder.record_injections_by_len(seq_lens);
-                for c in seq_lens.iter_mut() {
-                    *c = 0;
-                }
-                let mut due = due;
-                for (dest, payload) in due.drain(..) {
-                    fault_stats.in_flight -= 1;
+                for env in out.envelopes.drain(..) {
                     if !fuse_recv {
-                        sparse_recv_counts.add(dest, 1);
+                        recv_counts.add(env.dest, 1);
                     }
-                    inboxes.place(dest, payload);
-                    delivered += 1;
-                    fault_stats.delivered += 1;
-                    counters.late_arrivals += 1;
+                    inboxes.place(env.dest, env.payload);
                 }
-                if due.capacity() > 0 && pending_pool.len() < PENDING_POOL_CAP {
-                    pending_pool.push(due);
-                }
-                inboxes.finish();
-                if fuse_recv {
-                    builder.record_traffic(0, max_recv);
-                } else {
-                    builder.record_recv_sparse(sparse_recv_counts);
-                }
-                delivered
+                // Leave the outbox fully zeroed, not just drained, so the
+                // next superstep's closure pass can skip its reset
+                // (`outboxes_clean`).
+                out.dests.clear();
+                out.work = 0;
+                out.explicit = 0;
+                fault_stats.injected += n;
+                fault_stats.delivered += n;
+                delivered += n;
             }
-            true => {
-                // Same sequence, epoch-stamped tallies, hooked: the stall
-                // scans iterate the fault masks word-at-a-time —
-                // O(fault-words), never O(p).
-                sparse_arena_counts.reset();
-                if hooked {
-                    let down = crashed.count() as u64;
-                    fault_stats.crash_steps += down;
-                    counters.crashed_procs += down;
-                    for (leaf, word) in stalled.words() {
-                        let live = word & !crashed.word(leaf);
-                        let retained = u64::from(live.count_ones());
-                        fault_stats.stalled_steps += retained;
-                        counters.stalled_procs += retained;
-                        let mut bits = live;
-                        while bits != 0 {
-                            let pid = leaf * 64 + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            sparse_arena_counts.add(pid, spare.len(pid) as u64);
-                        }
-                    }
-                }
-                for &pid in frontier.iter() {
-                    let out = &outboxes[pid];
-                    if hooked {
-                        crate::kernels::count_dests_sparse_hooked(
-                            out.dests(),
-                            &fates[pid],
-                            crashed,
-                            sparse_arena_counts,
-                        );
-                    } else {
-                        crate::kernels::count_dests_sparse(out.dests(), sparse_arena_counts);
-                    }
-                }
-                for &(dest, _) in due.iter() {
-                    if !(hooked && crashed.contains(dest)) {
-                        sparse_arena_counts.add(dest, 1);
-                    }
-                }
-                let max_recv = inboxes.begin_sparse(sparse_arena_counts);
-                if hooked {
-                    for (leaf, word) in stalled.words() {
-                        let mut bits = word & !crashed.word(leaf);
-                        while bits != 0 {
-                            let pid = leaf * 64 + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            for msg in spare.inbox(pid) {
-                                inboxes.place(pid, msg.clone());
-                            }
-                        }
-                    }
-                }
-                // With `fuse_recv`, the only profile fact the receive
-                // tallies feed is the receive maximum — which the layout
-                // pass above already computed. Skip the per-message recv
-                // bump and the second touched sweep entirely.
-                sparse_recv_counts.reset();
-                let delivered = if fuse_recv {
-                    delivery_pass(
-                        frontier.iter().copied(),
-                        outboxes,
-                        resolved,
-                        fates,
-                        hooked,
-                        crashed,
-                        tracing,
-                        per_proc_sent,
-                        inboxes,
-                        builder,
-                        pending,
-                        pending_pool,
-                        fault_stats,
-                        &mut counters,
-                        due,
-                        seq_lens,
-                        |_| {},
-                    )
-                } else {
-                    delivery_pass(
-                        frontier.iter().copied(),
-                        outboxes,
-                        resolved,
-                        fates,
-                        hooked,
-                        crashed,
-                        tracing,
-                        per_proc_sent,
-                        inboxes,
-                        builder,
-                        pending,
-                        pending_pool,
-                        fault_stats,
-                        &mut counters,
-                        due,
-                        seq_lens,
-                        |dest| sparse_recv_counts.add(dest, 1),
-                    )
-                };
-                inboxes.finish();
-                if fuse_recv {
-                    builder.record_traffic(0, max_recv);
-                } else {
-                    builder.record_recv_sparse(sparse_recv_counts);
-                }
-                delivered
+            builder.record_injections_by_len(seq_lens);
+            seq_lens.fill(0);
+            for (dest, payload) in due.drain(..) {
+                fault_stats.in_flight -= 1;
+                recv_counts.add(dest, 1);
+                inboxes.place(dest, payload);
+                delivered += 1;
+                fault_stats.delivered += 1;
+                counters.late_arrivals += 1;
             }
+            if due.capacity() > 0 && pending_pool.len() < PENDING_POOL_CAP {
+                pending_pool.push(due);
+            }
+            inboxes.finish();
+            if fuse_recv {
+                builder.record_traffic(0, max_recv);
+            } else {
+                builder.record_recv_sparse(recv_counts);
+            }
+            delivered
+        } else {
+            // Stalled processors keep their undrained inbox (already counted
+            // as delivered at the previous boundary, so not recounted); it
+            // is retained ahead of this superstep's deliveries. A *crashed*
+            // processor gets no retention even if simultaneously stalled:
+            // its undrained inbox evaporates at the arena swap, exactly as
+            // it does for a live processor that ignores its inbox. Both
+            // scans walk the masks word-at-a-time — O(fault-words), not
+            // O(p).
+            arena_counts.reset();
+            let down = crashed.count() as u64;
+            fault_stats.crash_steps += down;
+            counters.crashed_procs += down;
+            for (leaf, word) in stalled.words() {
+                let live = word & !crashed.word(leaf);
+                let retained = u64::from(live.count_ones());
+                fault_stats.stalled_steps += retained;
+                counters.stalled_procs += retained;
+                let mut bits = live;
+                while bits != 0 {
+                    let pid = leaf * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    arena_counts.add(pid, spare.len(pid) as u64);
+                }
+            }
+            for &pid in senders.iter() {
+                crate::kernels::count_dests_sparse_hooked(
+                    outboxes[pid].dests(),
+                    &fates[pid],
+                    crashed,
+                    arena_counts,
+                );
+            }
+            for &(dest, _) in due.iter() {
+                if !crashed.contains(dest) {
+                    arena_counts.add(dest, 1);
+                }
+            }
+            inboxes.begin_sparse(arena_counts);
+            for (leaf, word) in stalled.words() {
+                let mut bits = word & !crashed.word(leaf);
+                while bits != 0 {
+                    let pid = leaf * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    for msg in spare.inbox(pid) {
+                        inboxes.place(pid, msg.clone());
+                    }
+                }
+            }
+            let delivered = delivery_pass(
+                senders,
+                outboxes,
+                resolved,
+                fates,
+                crashed,
+                tracing,
+                per_proc_sent,
+                inboxes,
+                builder,
+                pending,
+                pending_pool,
+                fault_stats,
+                &mut counters,
+                due,
+                recv_counts,
+            );
+            inboxes.finish();
+            builder.record_recv_sparse(recv_counts);
+            delivered
         };
 
         let profile = builder.snapshot_reset();
         // Taken unconditionally so mark consumption is sink-independent.
         let mark = recovery_mark.take();
         if tracing {
-            // Trace rows are dense by format (length p), but the sparse
-            // fill is O(touched): a zeroed row plus one write per receiver
-            // named by the dirty mask, instead of p stamp-checked reads.
-            let per_proc_recv: Vec<u64> = match sparse_tallies {
-                false => recv_counts.clone(),
-                true => {
-                    let mut row = vec![0u64; p];
-                    if fuse_recv {
-                        // Unhooked with no late arrivals: the published
-                        // arena segments *are* the receive tallies.
-                        for d in inboxes.touched().iter() {
-                            row[d] = inboxes.len(d) as u64;
-                        }
-                    } else {
-                        for d in sparse_recv_counts.touched().iter() {
-                            row[d] = sparse_recv_counts.get(d);
-                        }
-                    }
-                    row
+            // Trace rows are dense by format (length p), but the fill is
+            // O(touched): a zeroed row plus one write per receiver named by
+            // the dirty mask.
+            let mut per_proc_recv = vec![0u64; p];
+            if fuse_recv {
+                // The published arena segments *are* the receive tallies.
+                for d in inboxes.touched().iter() {
+                    per_proc_recv[d] = inboxes.len(d) as u64;
                 }
-            };
-            let max_mult = match sparse_tallies {
-                false => crate::max_slot_multiplicity(resolved, 0..p),
-                // Unhooked sparse supersteps resolve only the senders (the
-                // fused pass skips receive-only frontier pids, whose slot
-                // buffers may hold stale earlier-superstep data); scan
-                // exactly the resolved set — quiet pids have no envelopes
-                // and would contribute nothing anyway.
-                true if !hooked && active.is_some() => {
-                    crate::max_slot_multiplicity(resolved, senders.iter().copied())
+            } else {
+                for d in recv_counts.touched().iter() {
+                    per_proc_recv[d] = recv_counts.get(d);
                 }
-                true => crate::max_slot_multiplicity(resolved, frontier.iter().copied()),
-            };
+            }
+            // Only senders hold slots resolved this superstep; every other
+            // buffer may be stale and would contribute nothing anyway.
+            let max_mult = crate::max_slot_multiplicity(resolved, senders.iter().copied());
             let mut ev = TraceEvent::for_superstep(
                 TraceSource::Bsp,
                 trace_label.clone(),
@@ -1371,10 +910,10 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         }
         profiles.push(profile.clone());
         // Unhooked supersteps leave every dirtied outbox drained and zeroed
-        // (see the delivery drains above); combined with an all-clean entry
-        // — or the dense pass's reset of all p — the whole population is
-        // clean again, and the next superstep's closure pass skips its
-        // resets. Hooked supersteps make no such claim.
+        // (see the drain above); combined with an all-clean entry — or the
+        // dense pass's reset of all p — the whole population is clean
+        // again, and the next superstep's closure pass skips its resets.
+        // Hooked supersteps make no such claim.
         *outboxes_clean = !hooked && (outboxes_were_clean || active.is_none());
         *superstep_idx += 1;
         Ok(SuperstepReport { profile, delivered })
@@ -1527,14 +1066,14 @@ impl<S: Send + Clone, M: Send + Clone> BspMachine<S, M> {
         );
         self.superstep = ckpt.superstep;
         self.states.clone_from(&ckpt.states);
-        // Rebuild the inbox arena through its normal begin/place/finish
-        // protocol so segment layout and touched-tracking (the sparse
-        // frontier source) match a machine that arrived here by executing.
+        // Rebuild the inbox arena through its normal count/begin/place/finish
+        // protocol so touched-tracking (the sparse frontier source) matches
+        // a machine that arrived here by executing.
         self.inboxes.clear();
         for (pid, inbox) in ckpt.inboxes.iter().enumerate() {
-            self.arena_counts[pid] = inbox.len();
+            self.inboxes.count(pid, inbox.len());
         }
-        self.inboxes.begin(&self.arena_counts);
+        self.inboxes.begin_counted();
         for (pid, inbox) in ckpt.inboxes.iter().enumerate() {
             for msg in inbox {
                 self.inboxes.place(pid, msg.clone());
@@ -1577,29 +1116,65 @@ fn queue_pending<M>(
     fault_stats.in_flight += 1;
 }
 
-/// The sequential, deterministic heart of a superstep: walk `pids`'
-/// outboxes in order, record their work/send traffic, apply each envelope's
-/// fate in the canonical delivery order (source pid ascending, then send
-/// order), place surviving payloads into the arena, then land the due late
-/// arrivals after them. Returns the number of payloads delivered.
+/// The unhooked per-sender tally, run once per sender: record its work and
+/// send traffic, resolve and validate its slots, bucket its injections, and
+/// count its destinations straight into the arena's segment table — no
+/// second tally structure between counting and layout. On error the caller
+/// discards everything already recorded, so a failing sender needs no
+/// partial undo.
 ///
-/// Shared verbatim between the dense path (`pids` = `0..p`) and the sparse
-/// path (`pids` = the sorted frontier): every pid the dense iteration
-/// additionally visits holds an empty outbox, whose only effect is
-/// `record_work(0)`/`record_traffic(0, 0)` — no-ops on the profile's maxima
-/// — so the two instantiations are byte-identical by construction.
-///
-/// `bump_recv` abstracts the receive-count tally (dense `Vec` vs
-/// epoch-stamped [`EpochCounts`]); it is a generic parameter, not a dyn
-/// call, so the dense instantiation compiles to exactly the old inline
-/// increment.
+/// A sender whose slots are all implicit leaves `slots` empty (unless
+/// `materialize`) and is bucketed by length in `seq_lens`; one
+/// `record_injections_by_len` call after the drain replays the whole
+/// population's histogram contributions in bulk (sums — order
+/// unobservable).
+#[allow(clippy::too_many_arguments)]
+fn tally_sender<M>(
+    pid: Pid,
+    p: usize,
+    out: &Outbox<M>,
+    slots: &mut Vec<u64>,
+    materialize: bool,
+    seq_lens: &mut Vec<u64>,
+    builder: &mut ProfileBuilder,
+    inboxes: &mut MsgArena<M>,
+) -> Result<(), SimError> {
+    if out.work != 0 {
+        builder.record_work(out.work);
+    }
+    // A work-only sender still gets its slot buffer cleared: the trace
+    // multiplicity scan walks every sender's.
+    resolve_slots_into(pid, p, out, slots, materialize)?;
+    let n = out.envelopes.len();
+    if n == 0 {
+        return Ok(());
+    }
+    if slots.is_empty() {
+        if seq_lens.len() < n {
+            seq_lens.resize(n, 0);
+        }
+        seq_lens[n - 1] += 1;
+    } else {
+        debug_assert_eq!(slots.len(), n);
+        builder.record_injections_batch(slots);
+    }
+    builder.record_traffic(n as u64, 0);
+    inboxes.count_ones(out.dests());
+    Ok(())
+}
+
+/// The hooked delivery pass: walk the senders' outboxes in ascending pid
+/// order, record their work/send traffic, apply each envelope's
+/// precomputed fate in the canonical delivery order (source pid ascending,
+/// then send order), place surviving payloads into the arena, then land
+/// the due late arrivals after them. Returns the number of payloads
+/// delivered.
 #[allow(clippy::too_many_arguments)]
 fn delivery_pass<M: Clone>(
-    pids: impl Iterator<Item = Pid>,
+    senders: &[Pid],
     outboxes: &mut [Outbox<M>],
     resolved: &[Vec<u64>],
     fates: &[Vec<Fate>],
-    hooked: bool,
     crashed: &FrontierMask,
     tracing: bool,
     per_proc_sent: &mut [u64],
@@ -1610,80 +1185,29 @@ fn delivery_pass<M: Clone>(
     fault_stats: &mut FaultStats,
     counters: &mut FaultCounters,
     mut due: Vec<(Pid, M)>,
-    seq_lens: &mut Vec<u64>,
-    mut bump_recv: impl FnMut(Pid),
+    recv_counts: &mut EpochCounts,
 ) -> u64 {
     let mut delivered = 0u64;
-    for pid in pids {
+    for &pid in senders {
         let out = &mut outboxes[pid];
         let slots = &resolved[pid];
-        // `record_work(0)` and `record_traffic(0, 0)` are max-updates with
-        // 0 — semantic no-ops — so quiet processors (the bulk of a wide
-        // receive-only frontier) skip the builder calls entirely.
         if out.work != 0 {
             builder.record_work(out.work);
-            // Zeroed where recorded (never unconditionally): quiet outboxes
-            // stay untouched, and a fully drained-and-zeroed population is
-            // what lets the next superstep skip its resets
-            // (`outboxes_clean`).
             out.work = 0;
         }
         if tracing {
             per_proc_sent[pid] = out.envelopes.len() as u64;
         }
-        if !hooked {
-            // Unhooked batch branch: every fate is `Deliver` and no
-            // destination can be dead, so the per-message ledger updates
-            // collapse to bulk arithmetic and the slot charges to one
-            // batched scatter — bit-identical to the loop below with
-            // `fate = Deliver` and `dest_dead = false` throughout. Empty
-            // outboxes (the common case on a dense near-idle machine) skip
-            // even the bulk arithmetic: a p-sized sweep of quiet
-            // processors must stay a p-sized sweep of nothing.
-            if !out.envelopes.is_empty() {
-                let n = out.envelopes.len() as u64;
-                builder.record_traffic(n, 0);
-                if slots.is_empty() {
-                    // All-implicit marker from the slot resolution: this
-                    // sender's slots are exactly `0..n`. Bucket it by
-                    // length; one `record_injections_by_len` call after the
-                    // loop replays the whole population's histogram
-                    // contributions in bulk (sums — order unobservable).
-                    let k = out.envelopes.len() - 1;
-                    if seq_lens.len() <= k {
-                        seq_lens.resize(k + 1, 0);
-                    }
-                    seq_lens[k] += 1;
-                } else {
-                    debug_assert_eq!(slots.len(), out.envelopes.len());
-                    builder.record_injections_batch(slots);
-                }
-                for env in out.envelopes.drain(..) {
-                    bump_recv(env.dest);
-                    inboxes.place(env.dest, env.payload);
-                }
-                out.dests.clear();
-                out.explicit = 0;
-                fault_stats.injected += n;
-                fault_stats.delivered += n;
-                delivered += n;
-            }
-            continue;
-        }
         builder.record_traffic(out.envelopes.len() as u64, 0);
         for (msg_idx, (env, &slot)) in out.envelopes.drain(..).zip(slots.iter()).enumerate() {
-            let fate = if hooked {
-                fates[pid][msg_idx]
-            } else {
-                Fate::Deliver
-            };
+            let fate = fates[pid][msg_idx];
             fault_stats.injected += 1;
             // A payload bound for a crash-stopped destination is destroyed
             // at the custody transfer: bandwidth and the injection slot
             // were consumed (the network accepted the send), but nothing
             // lands and the `crashed` ledger column is charged instead of
             // `delivered`.
-            let dest_dead = hooked && crashed.contains(env.dest);
+            let dest_dead = crashed.contains(env.dest);
             match fate {
                 Fate::Deliver => {
                     builder.record_injection(slot);
@@ -1691,7 +1215,7 @@ fn delivery_pass<M: Clone>(
                         fault_stats.crashed += 1;
                         counters.crashed += 1;
                     } else {
-                        bump_recv(env.dest);
+                        recv_counts.add(env.dest, 1);
                         inboxes.place(env.dest, env.payload);
                         delivered += 1;
                         fault_stats.delivered += 1;
@@ -1711,7 +1235,7 @@ fn delivery_pass<M: Clone>(
                         fault_stats.crashed += 1;
                         counters.crashed += 1;
                     } else {
-                        bump_recv(env.dest);
+                        recv_counts.add(env.dest, 1);
                         inboxes.place(env.dest, env.payload);
                         delivered += 1;
                         fault_stats.delivered += 1;
@@ -1741,7 +1265,7 @@ fn delivery_pass<M: Clone>(
                         fault_stats.crashed += 1;
                         counters.crashed += 1;
                     } else {
-                        bump_recv(env.dest);
+                        recv_counts.add(env.dest, 1);
                         inboxes.place(env.dest, env.payload);
                         delivered += 1;
                         fault_stats.delivered += 1;
@@ -1754,22 +1278,18 @@ fn delivery_pass<M: Clone>(
         out.dests.clear();
         out.explicit = 0;
     }
-    builder.record_injections_by_len(seq_lens);
-    for c in seq_lens.iter_mut() {
-        *c = 0;
-    }
     // Late arrivals land at the same boundary as this superstep's sends,
     // after them, and are charged receive bandwidth here. A late arrival
     // whose destination is dead *now* is destroyed now — its earlier delay
     // only deferred the custody transfer.
     for (dest, payload) in due.drain(..) {
         fault_stats.in_flight -= 1;
-        if hooked && crashed.contains(dest) {
+        if crashed.contains(dest) {
             fault_stats.crashed += 1;
             counters.crashed += 1;
             continue;
         }
-        bump_recv(dest);
+        recv_counts.add(dest, 1);
         inboxes.place(dest, payload);
         delivered += 1;
         fault_stats.delivered += 1;
@@ -2290,6 +1810,22 @@ mod tests {
     fn active_superstep_rejects_out_of_range_pid() {
         let mut m: BspMachine<(), u8> = BspMachine::new(params(4), |_| ());
         m.superstep_active(&[4], |_pid, _s, _in, _out| {});
+    }
+
+    #[test]
+    fn rejected_active_set_leaves_the_machine_unchanged() {
+        let mut m: BspMachine<u64, u64> = BspMachine::new(params(4), |_| 0);
+        m.superstep(|pid, _s, _in, out| out.send((pid + 1) % 4, pid as u64 + 1));
+        let before = m.canonical_hash();
+        let err = m
+            .try_superstep_active(&[1, 9], |_pid, s, _in, _out| *s = 99)
+            .unwrap_err();
+        assert_eq!(err, SimError::BadPid { pid: 9, p: 4 });
+        assert_eq!(m.canonical_hash(), before);
+        assert_eq!(m.superstep_index(), 1);
+        // Still runnable, with the pending inboxes intact.
+        m.superstep(|_pid, s, inbox, _out| *s = inbox[0]);
+        assert_eq!(m.states(), &[4, 1, 2, 3]);
     }
 
     #[test]

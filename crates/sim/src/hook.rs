@@ -16,12 +16,12 @@
 //!   penalty) to the arrival superstep.
 //! * **Determinism.** `fate` must be a pure function of the hook's
 //!   pre-superstep state and the presented [`DeliveryCtx`] (and `stalled`
-//!   pure in `(superstep, pid)`): the engines *compute* all fates for a
-//!   boundary in a parallel pass, in unspecified thread order, then *apply*
-//!   them in the fixed delivery order (source pid, then send order). A pure
-//!   hook therefore yields a bit-identical run at every thread count —
-//!   which the cross-thread-count conformance suite checks by comparing
-//!   traces byte-for-byte.
+//!   pure in `(superstep, pid)`): the engines *compute* a boundary's fates
+//!   in one batch per sending processor, then *apply* them in the
+//!   fixed delivery order (source pid, then send order). A pure hook
+//!   therefore yields a bit-identical run at every thread count and down
+//!   either superstep entry point — which the conformance suites check by
+//!   comparing traces byte-for-byte.
 //! * **Conservation.** The engine tracks [`FaultStats`] such that
 //!   `injected + duplicated + restored == delivered + dropped + crashed +
 //!   in_flight` at every superstep boundary (checked by the property suite

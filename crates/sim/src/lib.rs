@@ -28,16 +28,15 @@
 //! * Determinism: superstep closures receive a processor id and may use
 //!   [`rng::proc_rng`] for per-processor reproducible randomness; message
 //!   delivery order is fixed (by source pid, then send order), independent of
-//!   rayon's scheduling. Fault fates ([`hook::DeliveryHook`]) are likewise
-//!   *computed* in a parallel pass (they are pure in the delivery context)
-//!   and *applied* in the fixed delivery order, so runs — including their
-//!   trace streams — are byte-identical at every `PBW_THREADS` setting.
+//!   rayon's scheduling. Fault fates ([`hook::DeliveryHook`]) are pure in
+//!   the delivery context and *applied* in the fixed delivery order, so
+//!   runs — including their trace streams — are byte-identical at every
+//!   `PBW_THREADS` setting.
 //! * Non-receipt is observable: a processor can branch on an *empty* inbox,
 //!   as required by the Section 4.2 ternary broadcast.
 
 pub(crate) mod arena;
 pub mod bsp;
-pub mod density;
 pub mod hook;
 pub mod kernels;
 pub mod qsm;
@@ -51,6 +50,19 @@ pub use pbw_models::FrontierMask;
 pub use qsm::{QsmCtx, QsmMachine, Word};
 pub use summary::CostSummary;
 
+/// What remains of the measured dense/sparse crossover: nothing to choose.
+/// Every superstep and phase runs its post-closure stages over the sender
+/// set on epoch-stamped tallies, whichever entry point it came through.
+pub mod density {
+    /// The crossover factor: 1, the value under which the former
+    /// `active * factor <= p` test always picked the sender-set path, which
+    /// is now the only one. Kept so run manifests that record the factor
+    /// keep their field.
+    pub fn crossover_factor() -> usize {
+        1
+    }
+}
+
 /// Processor identifier.
 pub type Pid = usize;
 
@@ -60,10 +72,10 @@ pub type Pid = usize;
 /// than assumed — so the conformance suite checks the engine, not itself.
 ///
 /// `pids` restricts the scan to the processors whose slot buffers are live
-/// this superstep: `0..p` on the dense path, the frontier on the sparse path
-/// (non-frontier buffers hold stale assignments from an earlier superstep
-/// and must not be read). A pid outside the frontier has no resolved slots
-/// this superstep, so restricting the scan cannot change the maximum.
+/// this superstep — the senders (BSP) or the frontier (QSM); other buffers
+/// may hold stale assignments from an earlier superstep and must not be
+/// read. A pid outside that set has no resolved slots this superstep, so
+/// restricting the scan cannot change the maximum.
 pub(crate) fn max_slot_multiplicity(resolved: &[Vec<u64>], pids: impl Iterator<Item = Pid>) -> u64 {
     pids.map(|pid| {
         let slots = &resolved[pid];
@@ -101,6 +113,8 @@ pub enum SimError {
     ReadWriteConflict { addr: usize },
     /// A QSM access was outside the shared address space.
     BadAddress { addr: usize, size: usize },
+    /// An active set named a processor id `>= p`.
+    BadPid { pid: Pid, p: usize },
 }
 
 impl std::fmt::Display for SimError {
@@ -123,6 +137,10 @@ impl std::fmt::Display for SimError {
             SimError::BadAddress { addr, size } => {
                 write!(f, "shared address {addr} out of bounds (size {size})")
             }
+            SimError::BadPid { pid, p } => write!(
+                f,
+                "active set names processor {pid}, but the machine has {p} processors"
+            ),
         }
     }
 }

@@ -172,24 +172,20 @@ pub struct QsmMachine<S> {
     stalled: FrontierMask,
     /// Crash-stopped processors this phase.
     crashed: FrontierMask,
-    /// Counting-pass scratch: per-processor result segment sizes.
-    arena_counts: Vec<usize>,
-    /// Counting-pass scratch for the active-set path: epoch-stamped, so the
-    /// reset is O(1) instead of an O(p) `fill(0)`.
-    sparse_arena_counts: EpochCounts,
-    /// Contention audit scratch: readers/writers per location.
-    readers: Vec<u64>,
-    writers: Vec<u64>,
-    /// Contention audit scratch for the active-set path: epoch-stamped
-    /// per-location tallies, reset in O(1) and walked via their dirty lists.
-    sparse_readers: EpochCounts,
-    sparse_writers: EpochCounts,
-    /// Active-set scratch: the sorted frontier of pids visited this phase,
-    /// unloaded from `frontier_mask` in ascending pid order.
+    /// Counting-pass scratch: per-processor result segment sizes,
+    /// epoch-stamped, so the reset is O(1) instead of an O(p) `fill(0)`.
+    arena_counts: EpochCounts,
+    /// Contention audit scratch: epoch-stamped readers/writers per
+    /// location, reset in O(1) and walked via their dirty lists.
+    readers: EpochCounts,
+    writers: EpochCounts,
+    /// The ascending frontier every pass after the closure pass walks:
+    /// the contexts that issued a request or charged work (dense), or the
+    /// pids the sparse closure pass visited.
     frontier: Vec<Pid>,
-    /// Mask twin of `frontier`: declared active set OR-ed word-at-a-time
-    /// with the arena's touched mask — insertion is the dedup, iteration
-    /// the sort.
+    /// The sparse path's frontier mask: declared active set OR-ed
+    /// word-at-a-time with the arena's touched mask — insertion is the
+    /// dedup, iteration the sort.
     frontier_mask: FrontierMask,
     /// Distinct-address scratch for the per-processor contention audit.
     audit_reads: Vec<Addr>,
@@ -232,12 +228,9 @@ impl<S: Send + Sync> QsmMachine<S> {
             fates: Vec::new(),
             stalled: FrontierMask::new(p),
             crashed: FrontierMask::new(p),
-            arena_counts: vec![0; p],
-            sparse_arena_counts: EpochCounts::new(p),
-            readers: vec![0; size],
-            writers: vec![0; size],
-            sparse_readers: EpochCounts::new(size),
-            sparse_writers: EpochCounts::new(size),
+            arena_counts: EpochCounts::new(p),
+            readers: EpochCounts::new(size),
+            writers: EpochCounts::new(size),
             frontier: Vec::new(),
             frontier_mask: FrontierMask::new(p),
             audit_reads: Vec::new(),
@@ -391,9 +384,9 @@ impl<S: Send + Sync> QsmMachine<S> {
     /// provided `f` is a *no-op* for every pid outside `active` whose
     /// result inbox is empty: it must not mutate that pid's state, post
     /// requests, or charge work. The frontier is visited in ascending pid
-    /// order, which replays the dense path's canonical serve order, and a
-    /// skipped pid contributes only zero-valued observations that cannot
-    /// move any profile maximum.
+    /// order, which replays the canonical serve order, and a skipped pid
+    /// contributes only zero-valued observations that cannot move any
+    /// profile maximum.
     ///
     /// Two caveats: a machine with a delivery hook consults the stall and
     /// crash masks, filled once per phase via
@@ -402,8 +395,11 @@ impl<S: Send + Sync> QsmMachine<S> {
     /// dense per-processor vectors (zeroed rows filled O(frontier);
     /// tracing is the observability path).
     ///
-    /// # Panics
-    /// Panics if `active` names a pid `>= p`.
+    /// # Errors
+    /// Besides the model-rule violations [`QsmMachine::try_phase`]
+    /// reports, returns [`SimError::BadPid`] if `active` names a pid `>= p`.
+    /// That check runs before anything else, so a rejected call leaves the
+    /// machine exactly as it was.
     pub fn try_phase_active<F>(&mut self, active: &[Pid], f: F) -> Result<PhaseReport, SimError>
     where
         F: Fn(Pid, &mut S, &[ReadResult], &mut QsmCtx) + Sync,
@@ -411,9 +407,11 @@ impl<S: Send + Sync> QsmMachine<S> {
         self.phase_core(Some(active), f)
     }
 
-    /// Shared phase body: `active = None` is the dense path (all `p`
-    /// processors, parallel passes), `Some(pids)` the sparse path
-    /// (sequential passes over the sorted frontier).
+    /// Shared phase body. Only the closure pass differs: `active = None`
+    /// runs all `p` processors in parallel and then takes as the frontier
+    /// every context that issued a request or charged work; `Some(pids)`
+    /// runs the sorted frontier sequentially. Every later pass walks that
+    /// frontier in ascending pid order on epoch-stamped tallies.
     fn phase_core<F>(&mut self, active: Option<&[Pid]>, f: F) -> Result<PhaseReport, SimError>
     where
         F: Fn(Pid, &mut S, &[ReadResult], &mut QsmCtx) + Sync,
@@ -421,6 +419,9 @@ impl<S: Send + Sync> QsmMachine<S> {
         let p = self.params.p;
         let size = self.shared.len();
         let step = self.phase as u64;
+        if let Some(&pid) = active.and_then(|set| set.iter().find(|&&pid| pid >= p)) {
+            return Err(SimError::BadPid { pid, p });
+        }
         // Rotate the arenas: `spare` becomes the read side (last phase's
         // responses), and the arena the previous phase read from is cleared
         // for refill. A rejected phase leaves `read_results` cleared — its
@@ -443,26 +444,11 @@ impl<S: Send + Sync> QsmMachine<S> {
             h.fill_fault_masks(step, &mut self.stalled, &mut self.crashed);
         }
 
-        // The frontier: declared-active pids plus every pid with read
-        // results to consume (`spare.touched()` — retained or late
-        // responses landed there last phase). The mask OR is the dedup and
-        // its ascending-pid unload the sort, so every sparse pass replays
-        // the dense path's canonical pid order.
-        if let Some(declared) = active {
-            self.frontier_mask.clear();
-            for &pid in declared {
-                assert!(
-                    pid < p,
-                    "active set names processor {pid}, but the machine has {p} processors"
-                );
-                self.frontier_mask.insert(pid);
-            }
-            self.frontier_mask.union_with(self.spare.touched());
-            self.frontier.clear();
-            self.frontier_mask.push_to(&mut self.frontier);
-        }
-
-        // Run the frontier's processors, each filling its recycled context.
+        // Run the processors, each filling its recycled context, and
+        // collect the ascending frontier every later pass walks. Contexts
+        // outside it are empty (dense) or stale from an earlier phase
+        // (sparse); no later pass reads them.
+        self.frontier.clear();
         match active {
             None => {
                 let f = &f;
@@ -481,12 +467,22 @@ impl<S: Send + Sync> QsmMachine<S> {
                         }
                     })
                     .collect();
+                let ctxs = &self.ctxs;
+                self.frontier.extend(
+                    (0..p).filter(|&pid| !ctxs[pid].requests.is_empty() || ctxs[pid].work != 0),
+                );
             }
-            Some(_) => {
-                // Sequential: the frontier is expected to be far smaller
-                // than `p`, and the passes below need its sorted order
-                // anyway. Contexts outside the frontier keep stale requests
-                // from an earlier phase; no later pass reads them.
+            Some(declared) => {
+                // The declared pids plus every pid with read results to
+                // consume (`spare.touched()` — retained or late responses
+                // landed there last phase). The mask OR is the dedup and
+                // its ascending-pid unload the sort.
+                self.frontier_mask.clear();
+                for &pid in declared {
+                    self.frontier_mask.insert(pid);
+                }
+                self.frontier_mask.union_with(self.spare.touched());
+                self.frontier_mask.push_to(&mut self.frontier);
                 for i in 0..self.frontier.len() {
                     let pid = self.frontier[i];
                     self.ctxs[pid].reset();
@@ -504,78 +500,35 @@ impl<S: Send + Sync> QsmMachine<S> {
 
         // Validate addresses and resolve per-processor injection slots into
         // the recycled slot buffers.
-        match active {
-            None => {
-                for ctx in &self.ctxs {
-                    for req in &ctx.requests {
-                        let addr = match req {
-                            Request::Read { addr, .. } | Request::Write { addr, .. } => *addr,
-                        };
-                        if addr >= size {
-                            return Err(SimError::BadAddress { addr, size });
-                        }
-                    }
-                }
-                let validated: Result<Vec<()>, SimError> = self
-                    .ctxs
-                    .par_iter()
-                    .zip(self.resolved.par_iter_mut())
-                    .enumerate()
-                    .map(|(pid, (ctx, slots))| assign_slots_into(pid, &ctx.requests, slots))
-                    .collect();
-                validated?;
-            }
-            Some(_) => {
-                for &pid in &self.frontier {
-                    for req in &self.ctxs[pid].requests {
-                        let addr = match req {
-                            Request::Read { addr, .. } | Request::Write { addr, .. } => *addr,
-                        };
-                        if addr >= size {
-                            return Err(SimError::BadAddress { addr, size });
-                        }
-                    }
-                }
-                for &pid in &self.frontier {
-                    assign_slots_into(pid, &self.ctxs[pid].requests, &mut self.resolved[pid])?;
+        for &pid in &self.frontier {
+            for req in &self.ctxs[pid].requests {
+                let addr = match req {
+                    Request::Read { addr, .. } | Request::Write { addr, .. } => *addr,
+                };
+                if addr >= size {
+                    return Err(SimError::BadAddress { addr, size });
                 }
             }
         }
+        for &pid in &self.frontier {
+            assign_slots_into(pid, &self.ctxs[pid].requests, &mut self.resolved[pid])?;
+        }
 
         // Fates are pure in `(phase, pid, msg_idx, slot)`, so they are
-        // *computed* here in a parallel (dense) or frontier-only (sparse)
-        // pass; the sequential serve loop below only *applies* them,
-        // preserving the fixed order the ledger, pending-result queue, and
-        // traces are defined by. Fate buffers outside the frontier go
-        // stale; no later pass reads them.
+        // *computed* here; the sequential serve loop below only *applies*
+        // them, preserving the fixed order the ledger, pending-result
+        // queue, and traces are defined by.
         if let Some(h) = &hook {
             if self.fates.len() != p {
                 self.fates.resize_with(p, Vec::new);
             }
-            match active {
-                None => {
-                    let _: Vec<()> = self
-                        .resolved
-                        .par_iter()
-                        .zip(self.fates.par_iter_mut())
-                        .enumerate()
-                        .map(|(pid, (slots, fates))| {
-                            fates.clear();
-                            // Every request in a QSM phase belongs to the
-                            // requesting processor, so the batch sees one
-                            // uniform destination.
-                            h.fate_batch(step, pid, BatchDests::Uniform(pid), slots, fates);
-                        })
-                        .collect();
-                }
-                Some(_) => {
-                    for &pid in &self.frontier {
-                        let slots = &self.resolved[pid];
-                        let fates = &mut self.fates[pid];
-                        fates.clear();
-                        h.fate_batch(step, pid, BatchDests::Uniform(pid), slots, fates);
-                    }
-                }
+            for &pid in &self.frontier {
+                let slots = &self.resolved[pid];
+                let fates = &mut self.fates[pid];
+                fates.clear();
+                // Every request in a QSM phase belongs to the requesting
+                // processor, so the batch sees one uniform destination.
+                h.fate_batch(step, pid, BatchDests::Uniform(pid), slots, fates);
             }
         }
 
@@ -583,79 +536,44 @@ impl<S: Send + Sync> QsmMachine<S> {
         // processor once per distinct address (the paper counts processors
         // per location). The distinct-address scratch replaces a per-
         // processor `BTreeSet`, so the audit is allocation-free at steady
-        // state. The sparse path tallies into epoch-stamped tables, so the
-        // audit costs O(frontier requests) rather than O(memory size).
-        // Either way every conflict check happens before anything is
-        // recorded into the persistent profile builder, so a rejected phase
-        // leaves it untouched.
-        match active {
-            None => {
-                self.readers.fill(0);
-                self.writers.fill(0);
-                for ctx in &self.ctxs {
-                    self.audit_reads.clear();
-                    self.audit_writes.clear();
-                    for req in &ctx.requests {
-                        match req {
-                            Request::Read { addr, .. } => self.audit_reads.push(*addr),
-                            Request::Write { addr, .. } => self.audit_writes.push(*addr),
-                        }
-                    }
-                    self.audit_reads.sort_unstable();
-                    self.audit_reads.dedup();
-                    self.audit_writes.sort_unstable();
-                    self.audit_writes.dedup();
-                    for &addr in &self.audit_reads {
-                        self.readers[addr] += 1;
-                    }
-                    for &addr in &self.audit_writes {
-                        self.writers[addr] += 1;
-                    }
-                }
-                for addr in 0..size {
-                    if self.readers[addr] > 0 && self.writers[addr] > 0 {
-                        return Err(SimError::ReadWriteConflict { addr });
-                    }
+        // state, and the epoch-stamped tallies make it cost O(frontier
+        // requests) rather than O(memory size). Every conflict check happens
+        // before anything is recorded into the persistent profile builder,
+        // so a rejected phase leaves it untouched.
+        self.readers.reset();
+        self.writers.reset();
+        for i in 0..self.frontier.len() {
+            let pid = self.frontier[i];
+            self.audit_reads.clear();
+            self.audit_writes.clear();
+            for req in &self.ctxs[pid].requests {
+                match req {
+                    Request::Read { addr, .. } => self.audit_reads.push(*addr),
+                    Request::Write { addr, .. } => self.audit_writes.push(*addr),
                 }
             }
-            Some(_) => {
-                self.sparse_readers.reset();
-                self.sparse_writers.reset();
-                for i in 0..self.frontier.len() {
-                    let pid = self.frontier[i];
-                    self.audit_reads.clear();
-                    self.audit_writes.clear();
-                    for req in &self.ctxs[pid].requests {
-                        match req {
-                            Request::Read { addr, .. } => self.audit_reads.push(*addr),
-                            Request::Write { addr, .. } => self.audit_writes.push(*addr),
-                        }
-                    }
-                    self.audit_reads.sort_unstable();
-                    self.audit_reads.dedup();
-                    self.audit_writes.sort_unstable();
-                    self.audit_writes.dedup();
-                    for &addr in &self.audit_reads {
-                        self.sparse_readers.add(addr, 1);
-                    }
-                    for &addr in &self.audit_writes {
-                        self.sparse_writers.add(addr, 1);
-                    }
-                }
-                // The dense scan reports the *lowest* conflicting address;
-                // the touched mask already iterates ascending, but keep the
-                // explicit minimum on the (cold) conflict path so the
-                // equivalence doesn't lean on iteration order.
-                let mut conflict: Option<Addr> = None;
-                for addr in self.sparse_readers.touched().iter() {
-                    if self.sparse_writers.get(addr) > 0 {
-                        conflict = Some(conflict.map_or(addr, |c| c.min(addr)));
-                    }
-                }
-                if let Some(addr) = conflict {
-                    return Err(SimError::ReadWriteConflict { addr });
-                }
+            self.audit_reads.sort_unstable();
+            self.audit_reads.dedup();
+            self.audit_writes.sort_unstable();
+            self.audit_writes.dedup();
+            for &addr in &self.audit_reads {
+                self.readers.add(addr, 1);
             }
+            for &addr in &self.audit_writes {
+                self.writers.add(addr, 1);
+            }
+        }
+        // Report the *lowest* conflicting address. The touched mask already
+        // iterates ascending, but keep the explicit minimum on the (cold)
+        // conflict path so the contract doesn't lean on iteration order.
+        let mut conflict: Option<Addr> = None;
+        for addr in self.readers.touched().iter() {
+            if self.writers.get(addr) > 0 {
+                conflict = Some(conflict.map_or(addr, |c| c.min(addr)));
+            }
+        }
+        if let Some(addr) = conflict {
+            return Err(SimError::ReadWriteConflict { addr });
         }
 
         // From here on everything is sequential and deterministic. Borrow
@@ -672,11 +590,8 @@ impl<S: Send + Sync> QsmMachine<S> {
             ref stalled,
             ref crashed,
             ref mut arena_counts,
-            ref mut sparse_arena_counts,
             ref readers,
             ref writers,
-            ref sparse_readers,
-            ref sparse_writers,
             ref frontier,
             ref mut pending_writes,
             ref mut builder,
@@ -690,27 +605,14 @@ impl<S: Send + Sync> QsmMachine<S> {
             ..
         } = *self;
 
-        // κ only feeds a maximum, so walking the touched masks (ascending)
-        // is equivalent to the dense ascending address scan.
-        match active {
-            None => {
-                for addr in 0..size {
-                    let kappa = readers[addr].max(writers[addr]);
-                    if kappa > 0 {
-                        builder.record_contention(kappa);
-                    }
-                }
-            }
-            Some(_) => {
-                for addr in sparse_readers.touched().iter() {
-                    builder
-                        .record_contention(sparse_readers.get(addr).max(sparse_writers.get(addr)));
-                }
-                for addr in sparse_writers.touched().iter() {
-                    if sparse_readers.get(addr) == 0 {
-                        builder.record_contention(sparse_writers.get(addr));
-                    }
-                }
+        // κ only feeds a maximum, so walking the touched masks is
+        // equivalent to an ascending scan of every address.
+        for addr in readers.touched().iter() {
+            builder.record_contention(readers.get(addr).max(writers.get(addr)));
+        }
+        for addr in writers.touched().iter() {
+            if readers.get(addr) == 0 {
+                builder.record_contention(writers.get(addr));
             }
         }
 
@@ -723,99 +625,51 @@ impl<S: Send + Sync> QsmMachine<S> {
         // stalled processor retains, reads served now by fate, plus due
         // late responses) lay out the arena segments before any result
         // moves. Stalls are whole-processor facts the hook filled into the
-        // fault masks, so both paths scan O(stalled-words) rather than O(p)
-        // (see `try_phase_active`).
-        match active {
-            None => {
-                arena_counts.fill(0);
-                if hooked {
-                    // Crash overrides stall: a down processor retains
-                    // nothing (its unseen results evaporate, uncharged —
-                    // they were already counted delivered).
-                    let down = crashed.count() as u64;
-                    fault_stats.crash_steps += down;
-                    counters.crashed_procs += down;
-                    for (leaf, word) in stalled.words() {
-                        let live = word & !crashed.word(leaf);
-                        let retained = u64::from(live.count_ones());
-                        fault_stats.stalled_steps += retained;
-                        counters.stalled_procs += retained;
-                        let mut bits = live;
-                        while bits != 0 {
-                            let pid = leaf * 64 + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            arena_counts[pid] += spare.len(pid);
-                        }
-                    }
+        // fault masks, scanned O(stalled-words) rather than O(p).
+        arena_counts.reset();
+        if hooked {
+            // Crash overrides stall: a down processor retains nothing (its
+            // unseen results evaporate, uncharged — they were already
+            // counted delivered).
+            let down = crashed.count() as u64;
+            fault_stats.crash_steps += down;
+            counters.crashed_procs += down;
+            for (leaf, word) in stalled.words() {
+                let live = word & !crashed.word(leaf);
+                let retained = u64::from(live.count_ones());
+                fault_stats.stalled_steps += retained;
+                counters.stalled_procs += retained;
+                let mut bits = live;
+                while bits != 0 {
+                    let pid = leaf * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    arena_counts.add(pid, spare.len(pid) as u64);
                 }
-                for (pid, ctx) in ctxs.iter().enumerate() {
-                    for (msg_idx, req) in ctx.requests.iter().enumerate() {
-                        if let Request::Read { .. } = req {
-                            let fate = if hooked {
-                                fates[pid][msg_idx]
-                            } else {
-                                Fate::Deliver
-                            };
-                            match fate {
-                                Fate::Deliver | Fate::Duplicate | Fate::Displace(_) => {
-                                    arena_counts[pid] += 1
-                                }
-                                Fate::Drop | Fate::Delay(_) => {}
-                            }
-                        }
-                    }
-                }
-                for &(pid, _) in due.iter() {
-                    if !(hooked && crashed.contains(pid)) {
-                        arena_counts[pid] += 1;
-                    }
-                }
-                read_results.begin(arena_counts);
-            }
-            Some(_) => {
-                sparse_arena_counts.reset();
-                if hooked {
-                    let down = crashed.count() as u64;
-                    fault_stats.crash_steps += down;
-                    counters.crashed_procs += down;
-                    for (leaf, word) in stalled.words() {
-                        let live = word & !crashed.word(leaf);
-                        let retained = u64::from(live.count_ones());
-                        fault_stats.stalled_steps += retained;
-                        counters.stalled_procs += retained;
-                        let mut bits = live;
-                        while bits != 0 {
-                            let pid = leaf * 64 + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            sparse_arena_counts.add(pid, spare.len(pid) as u64);
-                        }
-                    }
-                }
-                for &pid in frontier.iter() {
-                    for (msg_idx, req) in ctxs[pid].requests.iter().enumerate() {
-                        if let Request::Read { .. } = req {
-                            let fate = if hooked {
-                                fates[pid][msg_idx]
-                            } else {
-                                Fate::Deliver
-                            };
-                            match fate {
-                                Fate::Deliver | Fate::Duplicate | Fate::Displace(_) => {
-                                    sparse_arena_counts.add(pid, 1)
-                                }
-                                Fate::Drop | Fate::Delay(_) => {}
-                            }
-                        }
-                    }
-                }
-                for &(pid, _) in due.iter() {
-                    if !(hooked && crashed.contains(pid)) {
-                        sparse_arena_counts.add(pid, 1);
-                    }
-                }
-                read_results.begin_sparse(sparse_arena_counts);
             }
         }
+        for &pid in frontier.iter() {
+            for (msg_idx, req) in ctxs[pid].requests.iter().enumerate() {
+                if let Request::Read { .. } = req {
+                    let fate = if hooked {
+                        fates[pid][msg_idx]
+                    } else {
+                        Fate::Deliver
+                    };
+                    match fate {
+                        Fate::Deliver | Fate::Duplicate | Fate::Displace(_) => {
+                            arena_counts.add(pid, 1)
+                        }
+                        Fate::Drop | Fate::Delay(_) => {}
+                    }
+                }
+            }
+        }
+        for &(pid, _) in due.iter() {
+            if !(hooked && crashed.contains(pid)) {
+                arena_counts.add(pid, 1);
+            }
+        }
+        read_results.begin_sparse(arena_counts);
         // Stalled processors keep their unseen read results (consumed next
         // phase instead); they are retained ahead of this phase's serves.
         if hooked {
@@ -834,38 +688,21 @@ impl<S: Send + Sync> QsmMachine<S> {
         // Serve reads against the pre-phase memory; collect writes into
         // (addr, pid, value) for min-pid arbitration per address.
         pending_writes.clear();
-        let (mut total_reads, total_writes) = match active {
-            None => serve_pass(
-                0..p,
-                ctxs,
-                resolved,
-                fates,
-                hooked,
-                shared,
-                read_results,
-                pending_writes,
-                builder,
-                pending_results,
-                pending_pool,
-                fault_stats,
-                &mut counters,
-            ),
-            Some(_) => serve_pass(
-                frontier.iter().copied(),
-                ctxs,
-                resolved,
-                fates,
-                hooked,
-                shared,
-                read_results,
-                pending_writes,
-                builder,
-                pending_results,
-                pending_pool,
-                fault_stats,
-                &mut counters,
-            ),
-        };
+        let (mut total_reads, total_writes) = serve_pass(
+            frontier,
+            ctxs,
+            resolved,
+            fates,
+            hooked,
+            shared,
+            read_results,
+            pending_writes,
+            builder,
+            pending_results,
+            pending_pool,
+            fault_stats,
+            &mut counters,
+        );
         // Late responses land after this phase's on-time serves. A response
         // falling due while its processor is down dies in the network,
         // charged to the crash column.
@@ -899,43 +736,18 @@ impl<S: Send + Sync> QsmMachine<S> {
 
         let profile = builder.snapshot_reset();
         if sink.enabled() {
-            // The trace contract is dense per-processor vectors; the sparse
-            // path fills zeroed rows from the frontier / touched mask, so
-            // beyond the unavoidable O(p) allocation the fill itself is
-            // O(frontier).
-            let per_proc_sent: Vec<u64> = match active {
-                None => ctxs
-                    .iter()
-                    .map(|ctx| {
-                        let (r_i, w_i) = ctx.counts();
-                        r_i + w_i
-                    })
-                    .collect(),
-                Some(_) => {
-                    let mut sent = vec![0u64; p];
-                    for &pid in frontier.iter() {
-                        let (r_i, w_i) = ctxs[pid].counts();
-                        sent[pid] = r_i + w_i;
-                    }
-                    sent
-                }
-            };
-            let per_proc_recv: Vec<u64> = match active {
-                None => (0..p).map(|d| read_results.len(d) as u64).collect(),
-                Some(_) => {
-                    // O(touched) fill of the dense-by-contract row: only
-                    // pids with live arena segments can hold results.
-                    let mut recv = vec![0u64; p];
-                    for pid in read_results.touched().iter() {
-                        recv[pid] = read_results.len(pid) as u64;
-                    }
-                    recv
-                }
-            };
-            let max_mult = match active {
-                None => crate::max_slot_multiplicity(resolved, 0..p),
-                Some(_) => crate::max_slot_multiplicity(resolved, frontier.iter().copied()),
-            };
+            // The trace contract is dense per-processor vectors: zeroed rows
+            // filled from the frontier / touched mask, so beyond the
+            // unavoidable O(p) allocation the fill itself is O(frontier).
+            let mut per_proc_sent = vec![0u64; p];
+            for &pid in frontier.iter() {
+                let (r_i, w_i) = ctxs[pid].counts();
+                per_proc_sent[pid] = r_i + w_i;
+            }
+            let mut per_proc_recv = vec![0u64; p];
+            for pid in read_results.touched().iter() {
+                per_proc_recv[pid] = read_results.len(pid) as u64;
+            }
             let mut ev = TraceEvent::for_superstep(
                 TraceSource::Qsm,
                 trace_label.clone(),
@@ -944,7 +756,7 @@ impl<S: Send + Sync> QsmMachine<S> {
                 profile.clone(),
                 per_proc_sent,
                 per_proc_recv,
-                max_mult,
+                crate::max_slot_multiplicity(resolved, frontier.iter().copied()),
                 total_reads + total_writes,
             );
             if hooked {
@@ -962,20 +774,16 @@ impl<S: Send + Sync> QsmMachine<S> {
     }
 }
 
-/// The sequential serve loop, shared by both execution paths: visit `pids`
-/// in order, record each context's memory-op and work observations, then
-/// apply each request's (precomputed) fate — serving reads against the
-/// pre-phase memory and collecting writes for arbitration. Returns
-/// `(reads_served_on_time, writes_collected)`.
-///
-/// Monomorphized per iterator type: the dense instantiation (`0..p`)
-/// compiles to the loop the dense engine always ran, the sparse one walks
-/// only the frontier. A pid outside the frontier issued no requests, so
-/// skipping it drops only `record_memory_ops(0, 0)` / `record_work(0)`
-/// observations, which cannot move any profile maximum.
+/// The sequential serve loop: visit the frontier in ascending pid order,
+/// record each context's memory-op and work observations, then apply each
+/// request's (precomputed) fate — serving reads against the pre-phase
+/// memory and collecting writes for arbitration. Returns
+/// `(reads_served_on_time, writes_collected)`. A pid outside the frontier
+/// issued no requests, so skipping it drops only `record_memory_ops(0, 0)`
+/// / `record_work(0)` observations, which cannot move any profile maximum.
 #[allow(clippy::too_many_arguments)]
 fn serve_pass(
-    pids: impl Iterator<Item = Pid>,
+    frontier: &[Pid],
     ctxs: &[QsmCtx],
     resolved: &[Vec<u64>],
     fates: &[Vec<Fate>],
@@ -991,7 +799,7 @@ fn serve_pass(
 ) -> (u64, u64) {
     let mut total_reads = 0u64;
     let mut total_writes = 0u64;
-    for pid in pids {
+    for &pid in frontier {
         let ctx = &ctxs[pid];
         let (r_i, w_i) = ctx.counts();
         builder.record_memory_ops(r_i, w_i);
@@ -1624,5 +1432,25 @@ mod tests {
     fn active_phase_rejects_out_of_range_pid() {
         let mut m: QsmMachine<()> = QsmMachine::new(params(4), 8, |_| ());
         m.phase_active(&[4], |_pid, _s, _res, _ctx| {});
+    }
+
+    #[test]
+    fn rejected_active_set_leaves_the_machine_unchanged() {
+        let mut m: QsmMachine<Word> = QsmMachine::new(params(4), 8, |_| 0);
+        m.shared_mut()[2] = 42;
+        m.phase(|_pid, _s, _res, ctx| ctx.read(2));
+        let err = m
+            .try_phase_active(&[0, 7], |_pid, s, _res, ctx| {
+                *s = 99;
+                ctx.write(3, 1);
+            })
+            .unwrap_err();
+        assert_eq!(err, SimError::BadPid { pid: 7, p: 4 });
+        assert_eq!(m.phase_index(), 1);
+        assert_eq!(m.states(), &[0, 0, 0, 0]);
+        assert_eq!(m.shared()[3], 0);
+        // Still runnable, with the undelivered read results intact.
+        m.phase(|_pid, s, res, _ctx| *s = res[0].value);
+        assert_eq!(m.states(), &[42, 42, 42, 42]);
     }
 }

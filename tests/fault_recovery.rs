@@ -148,8 +148,8 @@ fn retransmission_rounds_reactivate_idle_senders_on_the_sparse_path() {
     }
 
     let params = MachineParams::from_gap(64, 8, 4);
-    // Only processor 0 sends: 6 unit messages. active/p = 1/64, well under
-    // the density cutoff, so every send superstep takes the sparse path.
+    // Only processor 0 sends: 6 unit messages. The recovery driver declares
+    // its senders, so every send superstep takes the sparse path.
     let wl = parallel_bandwidth::sched::workload::single_hot_sender(64, 6, 0, 21);
     assert_eq!(wl.active_senders(), vec![0]);
     let cfg = RecoveryConfig::default();

@@ -831,15 +831,20 @@ proptest! {
     ///
     /// Modes 2 and 3 agreeing is the engine-level statement that mask
     /// iteration ≡ the sorted-Vec frontier; mode 1 agreeing pins the
-    /// density crossover's freedom — either branch of
-    /// `pbw_sim::density::crossover` gives the same bytes.
+    /// dense entry point's closure pass + sender-flag fold to the sparse
+    /// one's. With `hooked`, a seeded [`FaultPlan`] drops, delays,
+    /// duplicates and displaces messages and stalls and crashes
+    /// processors, so the fault masks, retention and late arrivals ride
+    /// the same single tally path at every density.
     #[test]
     fn masked_declared_and_dense_paths_agree_at_any_density(
         p_sel in 0usize..3,
         sender_pct in 0usize..=100,
         max_fanout in 1usize..6,
         seed in 0u64..1000,
+        hooked in any::<bool>(),
     ) {
+        use parallel_bandwidth::prelude::{FaultPlan, FaultSpec};
         use parallel_bandwidth::sim::{BspMachine, Outbox};
         use parallel_bandwidth::trace::RecordingSink;
         use rayon::ThreadPoolBuilder;
@@ -891,6 +896,20 @@ proptest! {
                     let sink = Arc::new(RecordingSink::new());
                     let mut machine: BspMachine<u64, u64> = BspMachine::new(params, |_| 0);
                     machine.set_sink(sink.clone()).set_trace_label("mask-vs-vec");
+                    if hooked {
+                        let spec = FaultSpec {
+                            drop_rate: 0.1,
+                            duplicate_rate: 0.1,
+                            delay_rate: 0.1,
+                            max_delay: 2,
+                            displace_rate: 0.1,
+                            max_displacement: 2,
+                            stall_rate: 0.05,
+                            crash_rate: 0.02,
+                            max_crash_len: 2,
+                        };
+                        machine.set_delivery_hook(Arc::new(FaultPlan::new(spec, seed ^ 0x3C)));
+                    }
                     let send = |pid: usize, s: &mut u64, inbox: &[u64], out: &mut Outbox<u64>| {
                         *s = s.wrapping_add(inbox.iter().sum::<u64>());
                         if is_sender[pid] {
@@ -934,16 +953,116 @@ proptest! {
                 let other = run(mode, width);
                 prop_assert_eq!(
                     &baseline, &other,
-                    "mode={} width={} diverged from the dense width-1 run (p={}, {}% active)",
+                    "mode={} width={} diverged from the dense width-1 run (p={}, {}% active, hooked={})",
                     match mode {
                         Mode::Dense => "dense",
                         Mode::Declared => "declared",
                         Mode::Masked => "masked",
                     },
-                    width, p, sender_pct
+                    width, p, sender_pct, hooked
                 );
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The QSM counterpart: dense `phase` ≡ `phase_active` over the
+    /// requesters, at any requester density — states, shared memory,
+    /// profiles and trace stream — or, when `conflict` makes one location
+    /// both read and written, the same lowest-address `ReadWriteConflict`
+    /// from both entry points.
+    #[test]
+    fn qsm_dense_and_active_phases_agree_at_any_density(
+        p_sel in 0usize..3,
+        requester_pct in 0usize..=100,
+        max_requests in 1usize..5,
+        seed in 0u64..1000,
+        conflict in any::<bool>(),
+    ) {
+        use parallel_bandwidth::sim::qsm::ReadResult;
+        use parallel_bandwidth::sim::{QsmCtx, QsmMachine, SimError, Word};
+        use parallel_bandwidth::trace::RecordingSink;
+        use std::sync::Arc;
+
+        let p = [64usize, 72, 1024][p_sel];
+        let n = (p * requester_pct) / 100;
+        // 131 is prime and never divides p here: exactly `n` distinct
+        // requesters, in scrambled (unsorted) declaration order.
+        let requesters: Vec<usize> = (0..n).map(|i| (i * 131 + seed as usize) % p).collect();
+        let mut is_requester = vec![false; p];
+        for &r in &requesters {
+            is_requester[r] = true;
+        }
+        let mix = |pid: usize, j: usize| (pid * 7 + j * 13 + seed as usize) % p;
+        // Reads land in [0, p) and writes in [p, 2p), so only the planted
+        // conflict — the first requester writing a cell the last one
+        // reads — can make a location both read and written.
+        let planted = (conflict && n > 0).then(|| (requesters[0], requesters[n - 1], mix(n, 0)));
+        let request = |pid: usize, _s: &mut Word, _res: &[ReadResult], ctx: &mut QsmCtx| {
+            if !is_requester[pid] {
+                return;
+            }
+            // k = 0 makes a work-only context: still part of the frontier.
+            let k = (pid + seed as usize) % (max_requests + 1);
+            for j in 0..k {
+                if (pid + j).is_multiple_of(3) {
+                    ctx.write(p + mix(pid, j), (pid * 10 + j) as Word);
+                } else {
+                    ctx.read(mix(pid, j));
+                }
+            }
+            if k == 0 || pid.is_multiple_of(5) {
+                ctx.charge_work(pid as u64);
+            }
+            if let Some((writer, reader, addr)) = planted {
+                if pid == writer {
+                    ctx.write(addr, -1);
+                }
+                if pid == reader {
+                    ctx.read(addr);
+                }
+            }
+        };
+        let consume = |_pid: usize, s: &mut Word, res: &[ReadResult], _ctx: &mut QsmCtx| {
+            for r in res {
+                *s = s.wrapping_add(r.value);
+            }
+        };
+
+        type Run = (Result<(), SimError>, Vec<String>, Vec<Word>, Vec<Word>);
+        let run = |active: bool| -> Run {
+            let sink = Arc::new(RecordingSink::new());
+            let mut m: QsmMachine<Word> =
+                QsmMachine::new(MachineParams::from_gap(p, 8, 4), 2 * p, |_| 0);
+            m.set_sink(sink.clone()).set_trace_label("qsm-dense-vs-active");
+            for (i, cell) in m.shared_mut().iter_mut().enumerate() {
+                *cell = (i * 3 + 1) as Word;
+            }
+            let first = if active {
+                m.try_phase_active(&requesters, request)
+            } else {
+                m.try_phase(request)
+            };
+            let outcome = first.map(|_| {
+                if active {
+                    m.phase_active(&[], consume);
+                } else {
+                    m.phase(consume);
+                }
+            });
+            let events = sink.take().iter().map(|e| e.to_json()).collect();
+            (outcome, events, m.states().to_vec(), m.shared().to_vec())
+        };
+
+        let dense = run(false);
+        let active = run(true);
+        if let Some((_, _, addr)) = planted {
+            prop_assert_eq!(&dense.0, &Err(SimError::ReadWriteConflict { addr }));
+        }
+        prop_assert_eq!(dense, active, "p={} {}% requesters", p, requester_pct);
     }
 }
 
