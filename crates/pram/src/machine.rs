@@ -207,6 +207,13 @@ impl<'a> PramCtx<'a> {
 /// participating processor; sparser steps use the epoch-stamped tallies.
 /// This is a *cells-vs-procs* axis; either representation yields identical
 /// verdicts, so the constant only moves wall-clock.
+///
+/// Re-measured once the engines' frontier masks existed: with the dense
+/// arm disabled, `engine_hotpath`'s `pram_step/p4096` (4096 EREW
+/// processors on 4096 cells, a dense step) was slower in 5 of 5 pairs,
+/// run alternately at PBW_THREADS=1 on a 2-vCPU host. Per-run minimums were
+/// 119–148 µs (median 124) with the dense arm and 156–168 µs (median 164)
+/// with the epoch-stamped tallies only, so the dense arm stays.
 const DENSE_AUDIT_CELLS_PER_PROC: usize = 4;
 
 #[derive(Clone)]

@@ -8,41 +8,47 @@
 //! backing storage is reused and a superstep performs no inbox allocations
 //! at all, however many messages it moves.
 //!
-//! Filling is a two-pass protocol:
+//! Every fill — a BSP superstep's inboxes, a QSM phase's read results, a
+//! restored snapshot — follows one two-pass protocol:
 //!
-//! 1. **Counting pass** — the engine walks its outboxes (and fault fates,
-//!    retained inboxes and due late arrivals) once, accumulating the exact
-//!    number of payloads each destination will receive — either straight
-//!    into the segment table ([`MsgArena::count`], opened by
-//!    [`MsgArena::begin_counted`]) or into an epoch-stamped table opened by
-//!    [`MsgArena::begin_sparse`]. Both lay the segments out by prefix sum
-//!    and arm one write cursor per counted destination.
+//! 1. **Counting pass** — after [`MsgArena::clear`], the engine counts the
+//!    exact number of payloads each destination will receive straight into
+//!    the segment table, with [`MsgArena::count`] and its batched form
+//!    [`MsgArena::count_ones`]: retained inboxes of stalled processors,
+//!    the step's own deliveries (all of them unhooked, the surviving fates
+//!    hooked) and the due late arrivals. [`MsgArena::begin_counted`] then
+//!    turns the counts into segments by prefix sum and arms one write
+//!    cursor per counted destination.
 //! 2. **Placement pass** — the engine replays its *sequential delivery
-//!    order* (source pid, then send order, then due arrivals), calling
-//!    [`MsgArena::place`] for each payload. Because segment `d` is written
-//!    only by deliveries to `d`, and those deliveries occur in the same
-//!    relative order as the replay, each destination's slice ends up in
-//!    exactly the order the old per-destination `Vec::push` produced — the
-//!    order the fault ledger, pending queue, and byte-identical trace
-//!    contract are defined by. [`MsgArena::finish`] then asserts every
-//!    reserved slot was filled and publishes the segments.
+//!    order* (retained inboxes, then source pid and send order, then due
+//!    arrivals), calling [`MsgArena::place`] for each payload. Because
+//!    segment `d` is written only by deliveries to `d`, and those
+//!    deliveries occur in the same relative order as the replay, each
+//!    destination's slice ends up in exactly the order a per-destination
+//!    `Vec::push` would produce — the order the fault ledger, late-arrival
+//!    queue, and byte-identical trace contract are defined by.
+//!    [`MsgArena::finish`] then asserts every reserved slot was filled and
+//!    publishes the segments.
+//!
+//! The segment lengths are the per-destination delivery counts, so a
+//! destination's receive count is its segment length minus whatever it
+//! retained as a stalled processor; the BSP engine reads its profile
+//! maximum and trace row from the arena instead of keeping a second tally.
 //!
 //! ## Epoch-stamped segments
 //!
 //! Segment validity is tracked by an epoch stamp per destination instead of
 //! a dense offset table zeroed every superstep: a destination's segment is
-//! meaningful only if its stamp equals the arena's current epoch, and both
-//! [`MsgArena::clear`] and [`MsgArena::begin_sparse`] reset the arena by
-//! bumping the epoch — O(1), never an O(p) `fill(0)`. Both fills lay out
-//! segments for *only the counted destinations*, so a whole fill costs
-//! O(touched + messages) regardless of `p`. Unstamped
-//! destinations read as empty. The arena also publishes the list of
-//! destinations that received at least one message ([`MsgArena::touched`]),
-//! which is how the sparse engines seed the next superstep's frontier
-//! without scanning all `p` inboxes. Segments are laid out in first-touch
-//! (counting) order, which is deterministic because the counting pass is
-//! sequential; the layout order is unobservable anyway — `inbox(d)` content
-//! and order depend only on the placement replay.
+//! meaningful only if its stamp equals the arena's current epoch, and
+//! [`MsgArena::clear`] resets the arena by bumping the epoch — O(1), never
+//! an O(p) `fill(0)`. A fill lays out segments for *only the counted
+//! destinations*, so it costs O(touched + messages) regardless of `p`.
+//! Unstamped destinations read as empty. The arena also publishes the set
+//! of destinations that received at least one message
+//! ([`MsgArena::touched`]), which is how the engines seed the next step's
+//! frontier without scanning all `p` inboxes. Segments are laid out in
+//! ascending destination order; the layout order is unobservable anyway —
+//! `inbox(d)` content and order depend only on the placement replay.
 //!
 //! ## Safety
 //!
@@ -55,7 +61,7 @@
 //! publishes the length only after checking that the number of placements
 //! equals the reserved total, so no uninitialized slot is ever readable.
 
-use pbw_models::{EpochCounts, FrontierMask};
+use pbw_models::FrontierMask;
 
 /// One destination's segment metadata, interleaved so the layout pass, the
 /// placement cursor bump, and the inbox read each touch a single cache line
@@ -88,7 +94,7 @@ pub(crate) struct MsgArena<M> {
     data: Vec<M>,
     /// Per-destination segment table.
     segs: Vec<Seg>,
-    /// Current epoch; bumped by `clear` and `begin_sparse`. A `u32`
+    /// Current epoch; bumped by `clear`. A `u32`
     /// can wrap within a very long run, so the bump hard-resets every stamp
     /// when it does (once per ~4G resets) — stale stamps never alias.
     epoch: u32,
@@ -120,6 +126,7 @@ impl<M> MsgArena<M> {
     }
 
     /// Number of destinations.
+    #[cfg(test)]
     pub(crate) fn dests(&self) -> usize {
         self.segs.len()
     }
@@ -152,71 +159,10 @@ impl<M> MsgArena<M> {
         }
     }
 
-    /// Open a fill from an epoch-stamped count table, laying out segments
-    /// for *only the counted destinations* — O(touched), not O(p). Every
-    /// other destination reads as empty (its stamp stays stale). Segments
-    /// are laid out in ascending destination order (the counts' mask
-    /// iteration order); the layout order is unobservable — `inbox(d)`
-    /// addresses each segment through its own start/end, never through its
-    /// neighbours.
-    ///
-    /// Returns the largest single segment laid out (0 when none): the
-    /// layout walk reads every count anyway, and on the unhooked path that
-    /// maximum *is* the superstep's max receive count, which saves the
-    /// engine a second sweep over the touched set.
-    ///
-    /// # Panics
-    /// Panics if `counts.len() != dests()` or a fill is already open.
-    pub(crate) fn begin_sparse(&mut self, counts: &EpochCounts) -> u64 {
-        assert_eq!(
-            counts.len(),
-            self.dests(),
-            "count table must cover every destination"
-        );
-        assert!(!self.filling, "begin while a fill is already open");
-        self.data.clear();
-        self.bump_epoch();
-        self.touched.clear();
-        let mut total = 0usize;
-        let mut max_seg = 0usize;
-        // Walk the dirty mask one leaf word at a time, accumulating the
-        // non-empty destinations of each block into a word OR'd in with one
-        // `insert_word` — the per-destination two-level `insert` was a
-        // measurable cost at high message rates.
-        for (leaf, word) in counts.touched().words() {
-            let mut bits = word;
-            let mut nonempty = 0u64;
-            while bits != 0 {
-                let bit = bits.trailing_zeros();
-                bits &= bits - 1;
-                let d = leaf * 64 + bit as usize;
-                let c = counts.get(d) as usize;
-                let seg = &mut self.segs[d];
-                seg.stamp = self.epoch;
-                seg.start = total as u32;
-                seg.cursor = total as u32;
-                total += c;
-                seg.end = total as u32;
-                max_seg = max_seg.max(c);
-                nonempty |= u64::from(c > 0) << bit;
-            }
-            self.touched.insert_word(leaf, nonempty);
-        }
-        assert!(
-            total <= u32::MAX as usize,
-            "fill exceeds u32 payload indexing"
-        );
-        self.data.reserve(total);
-        self.total = total;
-        self.placed = 0;
-        self.filling = true;
-        max_seg as u64
-    }
-
-    /// Counting-phase alternative to an external count table: accumulate
-    /// `n` payloads for `dest` directly into the segment table (`end`
-    /// doubles as the count accumulator until [`MsgArena::begin_counted`]
-    /// converts the counts to offsets by prefix sum). Must run between
+    /// Counting pass: accumulate `n` payloads for `dest` directly into the
+    /// segment table (`end` doubles as the count accumulator until
+    /// [`MsgArena::begin_counted`] converts the counts to offsets by prefix
+    /// sum). Must run between
     /// [`MsgArena::clear`] and `begin_counted`. A zero increment on a
     /// never-counted destination is a no-op: the destination stays
     /// unstamped and reads as empty, exactly as if it were laid out with an
@@ -239,7 +185,7 @@ impl<M> MsgArena<M> {
 
     /// Count one payload for every destination in `dests` — the batched
     /// form of [`MsgArena::count`]`(d, 1)`, with the epoch hoisted. This is
-    /// the unhooked sparse path's per-sender counting kernel.
+    /// the unhooked path's per-sender counting kernel.
     pub(crate) fn count_ones(&mut self, dests: &[usize]) {
         debug_assert!(!self.filling, "count during an open fill");
         let epoch = self.epoch;
@@ -277,13 +223,12 @@ impl<M> MsgArena<M> {
     /// Open a fill from the counts accumulated by [`MsgArena::count`] /
     /// [`MsgArena::count_ones`]: one in-place prefix-sum walk over the
     /// touched mask turns each count into its segment bounds. The epoch is
-    /// *not* bumped (the accumulated stamps must stay valid) — the
-    /// counterpart of [`MsgArena::begin_sparse`] without the external count
-    /// table, saving a second per-destination tally structure and the
-    /// read-back walk over it.
+    /// *not* bumped (the accumulated stamps must stay valid).
     ///
-    /// Returns the largest single segment laid out (0 when none), as
-    /// [`MsgArena::begin_sparse`] does.
+    /// Returns the largest single segment laid out (0 when none): the
+    /// layout walk reads every count anyway, and on an unhooked step that
+    /// maximum *is* the step's max receive count, which saves the engine a
+    /// second sweep over the touched set.
     ///
     /// # Panics
     /// Panics if a fill is already open.
@@ -343,7 +288,7 @@ impl<M> MsgArena<M> {
             "delivery overflows destination {dest}'s counted segment"
         );
         seg.cursor = cursor + 1;
-        // SAFETY: `begin`/`begin_sparse` reserved capacity for the segment
+        // SAFETY: `begin_counted` reserved capacity for the segment
         // total; the stamp assert proves `seg.end` belongs to this fill's
         // layout, and the cursor assert keeps the write strictly inside it
         // (hence inside the reservation). The length is still 0, so this
@@ -399,7 +344,7 @@ impl<M> MsgArena<M> {
     }
 
     /// Destinations holding at least one message in the current fill, as a
-    /// bitset. The sparse engines union this mask into the next superstep's
+    /// bitset. The engines union this mask into the next superstep's
     /// frontier word-at-a-time, without scanning all `p` inboxes — and
     /// without the sort the old first-touch-ordered list forced on them.
     #[inline]
@@ -411,6 +356,7 @@ impl<M> MsgArena<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbw_models::EpochCounts;
 
     /// Open a fill from a dense count table (one entry per destination)
     /// through the engines' count/`begin_counted` protocol.
@@ -418,6 +364,16 @@ mod tests {
         a.clear();
         for (d, &c) in counts.iter().enumerate() {
             a.count(d, c);
+        }
+        a.begin_counted();
+    }
+
+    /// Open a fill from an epoch-stamped count table through the same
+    /// protocol: only the table's touched destinations are counted.
+    fn begin_from_table<M>(a: &mut MsgArena<M>, counts: &EpochCounts) {
+        a.clear();
+        for d in counts.touched().iter() {
+            a.count(d, counts.get(d) as usize);
         }
         a.begin_counted();
     }
@@ -486,7 +442,7 @@ mod tests {
         counts.add(1, 1);
         counts.add(4, 0); // counted but empty: enumerable, holds nothing
         let mut a: MsgArena<u32> = MsgArena::new(8);
-        a.begin_sparse(&counts);
+        begin_from_table(&mut a, &counts);
         a.place(6, 60);
         a.place(1, 10);
         a.place(6, 61);
@@ -506,13 +462,13 @@ mod tests {
         let mut counts = EpochCounts::new(4);
         counts.add(2, 1);
         let mut a: MsgArena<u8> = MsgArena::new(4);
-        a.begin_sparse(&counts);
+        begin_from_table(&mut a, &counts);
         a.place(2, 9);
         a.finish();
         assert_eq!(a.inbox(2), &[9]);
         counts.reset();
         counts.add(0, 1);
-        a.begin_sparse(&counts);
+        begin_from_table(&mut a, &counts);
         a.place(0, 7);
         a.finish();
         // Destination 2's old segment is stale, not re-served.
@@ -526,7 +482,7 @@ mod tests {
         let mut counts = EpochCounts::new(4);
         counts.add(1, 1);
         let mut a: MsgArena<u8> = MsgArena::new(4);
-        a.begin_sparse(&counts);
+        begin_from_table(&mut a, &counts);
         a.place(3, 1);
     }
 
@@ -595,7 +551,7 @@ mod tests {
         counts.add(4, 1);
         counts.add(1, 2);
         let mut sparse: MsgArena<u32> = MsgArena::new(6);
-        sparse.begin_sparse(&counts);
+        begin_from_table(&mut sparse, &counts);
         sparse.place(4, 40);
         sparse.place(1, 11);
         sparse.place(1, 12);

@@ -17,13 +17,13 @@
 //! one-injection-per-processor-per-step rule and builds the machine-wide
 //! `m_t` histogram for the cost models.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::arena::MsgArena;
+use crate::barrier::{resolve_slots_into, FaultMasks, LateQueue};
 use crate::hook::{BatchDests, DeliveryHook, Fate, FaultStats};
 use crate::{Pid, SimError};
-use pbw_models::{EpochCounts, FrontierMask, MachineParams, ProfileBuilder, SuperstepProfile};
+use pbw_models::{FrontierMask, MachineParams, ProfileBuilder, SuperstepProfile};
 use pbw_trace::{FaultCounters, RecoveryMark, TraceEvent, TraceSink, TraceSource};
 use rayon::prelude::*;
 
@@ -182,22 +182,9 @@ pub struct BspMachine<S, M> {
     resolved: Vec<Vec<u64>>,
     /// Per-processor precomputed fates (hooked machines only).
     fates: Vec<Vec<Fate>>,
-    /// Stalled processors this superstep (read only behind `hooked`).
-    /// Cleared by an O(1) epoch bump and filled through
-    /// [`DeliveryHook::fill_fault_masks`], so a hook that knows its fault
-    /// windows in closed form never pays the per-pid O(p) scan.
-    stalled: FrontierMask,
-    /// Crash-stopped processors this superstep. A crashed pid is strictly
-    /// worse than a stalled one: closure skipped, no stall retention,
-    /// incoming custody transfers destroyed.
-    crashed: FrontierMask,
-    /// Hooked counting scratch: epoch-stamped per-destination arena segment
-    /// sizes, reset in O(1) by an epoch bump instead of an O(p) `fill(0)`.
-    /// (Unhooked supersteps count straight into the arena's segment table.)
-    arena_counts: EpochCounts,
-    /// Receive counts, epoch-stamped like `arena_counts`; filled whenever
-    /// they differ from the arena segments (hooked, or late arrivals due).
-    recv_counts: EpochCounts,
+    /// Stalled and crashed processors this superstep (read only behind
+    /// `hooked`).
+    faults: FaultMasks,
     /// Delivery-pass scratch: `seq_lens[k]` counts the senders that posted
     /// exactly `k + 1` all-implicit-slot messages this superstep, feeding
     /// one aggregated histogram update instead of a per-sender scatter.
@@ -226,11 +213,9 @@ pub struct BspMachine<S, M> {
     sink: Arc<dyn TraceSink>,
     trace_label: String,
     hook: Option<Arc<dyn DeliveryHook>>,
-    /// `pending[k]` holds payloads the network will deliver at the boundary
-    /// `k + 1` supersteps from now: delayed messages and duplicate copies.
-    pending: VecDeque<Vec<(Pid, M)>>,
-    /// Drained pending-level buffers kept for reuse by `queue_pending`.
-    pending_pool: Vec<Vec<(Pid, M)>>,
+    /// Payloads the network will deliver at a later boundary: delayed
+    /// messages and duplicate copies.
+    late: LateQueue<M>,
     fault_stats: FaultStats,
     fault_round: u32,
     /// Checkpoint/rollback annotation stamped on (and cleared by) the next
@@ -258,10 +243,7 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             outboxes_clean: true,
             resolved: vec![Vec::new(); p],
             fates: Vec::new(),
-            stalled: FrontierMask::new(p),
-            crashed: FrontierMask::new(p),
-            arena_counts: EpochCounts::new(p),
-            recv_counts: EpochCounts::new(p),
+            faults: FaultMasks::new(p),
             seq_lens: Vec::new(),
             senders: Vec::new(),
             frontier_mask: FrontierMask::new(p),
@@ -273,8 +255,7 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             sink: pbw_trace::global_sink(),
             trace_label: String::new(),
             hook: None,
-            pending: VecDeque::new(),
-            pending_pool: Vec::new(),
+            late: LateQueue::default(),
             fault_stats: FaultStats::default(),
             fault_round: 0,
             recovery_mark: None,
@@ -404,8 +385,8 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         for pid in 0..self.params.p {
             self.inboxes.inbox(pid).hash(&mut h);
         }
-        self.pending.len().hash(&mut h);
-        for level in &self.pending {
+        self.late.levels().len().hash(&mut h);
+        for level in self.late.levels() {
             level.hash(&mut h);
         }
         self.fault_stats.hash(&mut h);
@@ -527,14 +508,8 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         std::mem::swap(&mut self.inboxes, &mut self.spare);
         self.inboxes.clear();
 
-        // A stalled processor skips its closure this superstep and sees its
-        // inbox again next superstep; a crashed processor skips its closure
-        // *and* loses every payload whose custody would transfer to it this
-        // superstep. The masks are cleared in O(1) (epoch bumps) and filled
-        // in one hook call — `fill_fault_masks` lets a hook that knows its
-        // fault windows in closed form (FaultPlan with zero rates) insert
-        // O(windows) bits instead of answering p per-pid queries. The masks
-        // are only ever read behind `hooked`.
+        // The stall/crash step's masks (see `FaultMasks`), filled once per
+        // superstep and only ever read behind `hooked`.
         let hook = self.hook.clone();
         let hooked = hook.is_some();
         let tracing = self.sink.enabled();
@@ -543,9 +518,7 @@ impl<S: Send, M: Send> BspMachine<S, M> {
         // clean unhooked exit at the bottom re-establishes it.
         let outboxes_were_clean = std::mem::take(&mut self.outboxes_clean);
         if let Some(h) = &hook {
-            self.stalled.clear();
-            self.crashed.clear();
-            h.fill_fault_masks(step, &mut self.stalled, &mut self.crashed);
+            self.faults.fill(h.as_ref(), step);
         }
 
         // Individual slot values are only ever read by the hooked fate
@@ -573,8 +546,7 @@ impl<S: Send, M: Send> BspMachine<S, M> {
                 // sender (one byte, written unconditionally next to the
                 // outbox reset it shares a cache line with).
                 let f = &f;
-                let stalled = &self.stalled;
-                let crashed = &self.crashed;
+                let faults = &self.faults;
                 let spare = &self.spare;
                 let _: Vec<()> = self
                     .states
@@ -586,7 +558,7 @@ impl<S: Send, M: Send> BspMachine<S, M> {
                         if !outboxes_were_clean {
                             out.reset();
                         }
-                        if !(hooked && (stalled.contains(pid) || crashed.contains(pid))) {
+                        if !(hooked && faults.skips(pid)) {
                             f(pid, state, spare.inbox(pid), out);
                         }
                         *flag = (!out.envelopes.is_empty() || out.work != 0) as u8;
@@ -648,7 +620,7 @@ impl<S: Send, M: Send> BspMachine<S, M> {
                         if !outboxes_were_clean {
                             out.reset();
                         }
-                        if !(hooked && (self.stalled.contains(pid) || self.crashed.contains(pid))) {
+                        if !(hooked && self.faults.skips(pid)) {
                             f(pid, &mut self.states[pid], self.spare.inbox(pid), out);
                         }
                         if out.envelopes.is_empty() && out.work == 0 {
@@ -683,10 +655,10 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             for &pid in &self.senders {
                 let out = &self.outboxes[pid];
                 let slots = &mut self.resolved[pid];
-                resolve_slots_into(pid, p, out, slots, true)?;
+                resolve_outbox(pid, p, out, slots, true)?;
                 // Fates are pure in `(superstep, src, dest, msg_idx, slot)`;
                 // the delivery pass below only *applies* them, in the fixed
-                // order the ledger, pending queue and traces are defined by.
+                // order the ledger, late-arrival queue and traces are defined by.
                 let fates = &mut self.fates[pid];
                 fates.clear();
                 h.fate_batch(step, pid, BatchDests::Lane(out.dests()), slots, fates);
@@ -703,7 +675,7 @@ impl<S: Send, M: Send> BspMachine<S, M> {
 
         // From here on everything is sequential and deterministic. Borrow
         // the machine's parts individually so the delivery loop can fill the
-        // arena while queueing pending payloads.
+        // arena while queueing late payloads.
         let Self {
             ref params,
             ref mut inboxes,
@@ -712,10 +684,7 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             ref mut outboxes_clean,
             ref resolved,
             ref fates,
-            ref stalled,
-            ref crashed,
-            ref mut arena_counts,
-            ref mut recv_counts,
+            ref faults,
             ref mut seq_lens,
             ref senders,
             ref mut per_proc_sent,
@@ -724,8 +693,7 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             superstep: ref mut superstep_idx,
             ref sink,
             ref trace_label,
-            ref mut pending,
-            ref mut pending_pool,
+            ref mut late,
             ref mut fault_stats,
             ref fault_round,
             ref mut recovery_mark,
@@ -736,24 +704,50 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             retransmit_round: *fault_round,
             ..Default::default()
         };
+        let masks = hooked.then_some(faults);
 
-        // Payloads the network is due to release at this boundary (queued by
-        // earlier Delay/Duplicate fates). Popped before this superstep's
-        // sends are queued, so a `Delay(k)` waits exactly `k` extra steps.
-        let mut due: Vec<(Pid, M)> = pending.pop_front().unwrap_or_default();
-        // Unhooked with no late arrivals, the per-destination receive
-        // tallies are bit-for-bit the arena counts (every counted message is
-        // placed, nothing else is), so the layout's maximum is the receive
-        // maximum and the trace row reads the arena segments.
-        let fuse_recv = !hooked && due.is_empty();
-        recv_counts.reset();
-        let delivered = if !hooked {
-            // The senders' destinations are already counted into the
-            // arena's segment table; add the late arrivals, lay out, drain.
-            for &(dest, _) in due.iter() {
-                inboxes.count(dest, 1);
+        // Counting pass. Unhooked senders were counted into the arena by
+        // their tally; hooked ones count here, after the inboxes stalled
+        // processors retain, only the fates that land now at a live
+        // destination. Payloads the network is due to release at this
+        // boundary (queued by earlier Delay/Duplicate fates) come last:
+        // popped before this superstep's sends are queued, so a `Delay(k)`
+        // waits exactly `k` extra steps.
+        if let Some(m) = masks {
+            m.charge_and_count_retained(spare, inboxes, fault_stats, &mut counters);
+            for &pid in senders.iter() {
+                crate::kernels::count_fated(
+                    outboxes[pid].dests(),
+                    &fates[pid],
+                    &m.crashed,
+                    inboxes,
+                );
             }
-            let max_recv = inboxes.begin_counted();
+        }
+        let due = late.pop_due();
+        LateQueue::count_due(&due, masks, inboxes);
+        let max_segment = inboxes.begin_counted();
+
+        // Placement pass, in the canonical delivery order: retained inboxes,
+        // then the senders' payloads (source pid ascending, then send
+        // order), then the due late arrivals.
+        let mut delivered = if let Some(m) = masks {
+            m.place_retained(spare, inboxes);
+            delivery_pass(
+                senders,
+                outboxes,
+                resolved,
+                fates,
+                &m.crashed,
+                tracing,
+                per_proc_sent,
+                inboxes,
+                builder,
+                late,
+                fault_stats,
+                &mut counters,
+            )
+        } else {
             let mut delivered = 0u64;
             for &pid in senders.iter() {
                 let out = &mut outboxes[pid];
@@ -762,9 +756,6 @@ impl<S: Send, M: Send> BspMachine<S, M> {
                     per_proc_sent[pid] = n;
                 }
                 for env in out.envelopes.drain(..) {
-                    if !fuse_recv {
-                        recv_counts.add(env.dest, 1);
-                    }
                     inboxes.place(env.dest, env.payload);
                 }
                 // Leave the outbox fully zeroed, not just drained, so the
@@ -779,112 +770,31 @@ impl<S: Send, M: Send> BspMachine<S, M> {
             }
             builder.record_injections_by_len(seq_lens);
             seq_lens.fill(0);
-            for (dest, payload) in due.drain(..) {
-                fault_stats.in_flight -= 1;
-                recv_counts.add(dest, 1);
-                inboxes.place(dest, payload);
-                delivered += 1;
-                fault_stats.delivered += 1;
-                counters.late_arrivals += 1;
-            }
-            if due.capacity() > 0 && pending_pool.len() < PENDING_POOL_CAP {
-                pending_pool.push(due);
-            }
-            inboxes.finish();
-            if fuse_recv {
-                builder.record_traffic(0, max_recv);
-            } else {
-                builder.record_recv_sparse(recv_counts);
-            }
-            delivered
-        } else {
-            // Stalled processors keep their undrained inbox (already counted
-            // as delivered at the previous boundary, so not recounted); it
-            // is retained ahead of this superstep's deliveries. A *crashed*
-            // processor gets no retention even if simultaneously stalled:
-            // its undrained inbox evaporates at the arena swap, exactly as
-            // it does for a live processor that ignores its inbox. Both
-            // scans walk the masks word-at-a-time — O(fault-words), not
-            // O(p).
-            arena_counts.reset();
-            let down = crashed.count() as u64;
-            fault_stats.crash_steps += down;
-            counters.crashed_procs += down;
-            for (leaf, word) in stalled.words() {
-                let live = word & !crashed.word(leaf);
-                let retained = u64::from(live.count_ones());
-                fault_stats.stalled_steps += retained;
-                counters.stalled_procs += retained;
-                let mut bits = live;
-                while bits != 0 {
-                    let pid = leaf * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    arena_counts.add(pid, spare.len(pid) as u64);
-                }
-            }
-            for &pid in senders.iter() {
-                crate::kernels::count_dests_sparse_hooked(
-                    outboxes[pid].dests(),
-                    &fates[pid],
-                    crashed,
-                    arena_counts,
-                );
-            }
-            for &(dest, _) in due.iter() {
-                if !crashed.contains(dest) {
-                    arena_counts.add(dest, 1);
-                }
-            }
-            inboxes.begin_sparse(arena_counts);
-            for (leaf, word) in stalled.words() {
-                let mut bits = word & !crashed.word(leaf);
-                while bits != 0 {
-                    let pid = leaf * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    for msg in spare.inbox(pid) {
-                        inboxes.place(pid, msg.clone());
-                    }
-                }
-            }
-            let delivered = delivery_pass(
-                senders,
-                outboxes,
-                resolved,
-                fates,
-                crashed,
-                tracing,
-                per_proc_sent,
-                inboxes,
-                builder,
-                pending,
-                pending_pool,
-                fault_stats,
-                &mut counters,
-                due,
-                recv_counts,
-            );
-            inboxes.finish();
-            builder.record_recv_sparse(recv_counts);
             delivered
         };
+        delivered += late.land_due(due, masks, inboxes, fault_stats, &mut counters);
+        inboxes.finish();
+
+        // A destination's receive count is its segment minus whatever it
+        // retained from the last boundary as a stalled, live processor.
+        // Unhooked, nothing is retained, so the layout's largest segment is
+        // the receive maximum.
+        let received = |d: Pid| (inboxes.len(d) - masks.map_or(0, |m| m.retained(spare, d))) as u64;
+        let max_recv = match masks {
+            None => max_segment,
+            Some(_) => inboxes.touched().iter().map(received).max().unwrap_or(0),
+        };
+        builder.record_traffic(0, max_recv);
 
         let profile = builder.snapshot_reset();
         // Taken unconditionally so mark consumption is sink-independent.
         let mark = recovery_mark.take();
         if tracing {
             // Trace rows are dense by format (length p), but the fill is
-            // O(touched): a zeroed row plus one write per receiver named by
-            // the dirty mask.
+            // O(touched): a zeroed row plus one write per receiver.
             let mut per_proc_recv = vec![0u64; p];
-            if fuse_recv {
-                // The published arena segments *are* the receive tallies.
-                for d in inboxes.touched().iter() {
-                    per_proc_recv[d] = inboxes.len(d) as u64;
-                }
-            } else {
-                for d in recv_counts.touched().iter() {
-                    per_proc_recv[d] = recv_counts.get(d);
-                }
+            for d in inboxes.touched().iter() {
+                per_proc_recv[d] = received(d);
             }
             // Only senders hold slots resolved this superstep; every other
             // buffer may be stale and would contribute nothing anyway.
@@ -1008,7 +918,7 @@ impl<S: Send + Clone, M: Send + Clone> BspMachine<S, M> {
             inboxes: (0..self.params.p)
                 .map(|pid| self.inboxes.inbox(pid).to_vec())
                 .collect(),
-            pending: self.pending.iter().cloned().collect(),
+            pending: self.late.levels().iter().cloned().collect(),
             fault_stats: self.fault_stats,
         }
     }
@@ -1080,40 +990,8 @@ impl<S: Send + Clone, M: Send + Clone> BspMachine<S, M> {
             }
         }
         self.inboxes.finish();
-        // Recycle the abandoned pending levels, then clone the snapshot's.
-        while let Some(mut level) = self.pending.pop_front() {
-            level.clear();
-            if self.pending_pool.len() < PENDING_POOL_CAP {
-                self.pending_pool.push(level);
-            }
-        }
-        for level in &ckpt.pending {
-            let mut buf = self.pending_pool.pop().unwrap_or_default();
-            buf.extend(level.iter().cloned());
-            self.pending.push_back(buf);
-        }
+        self.late.load(&ckpt.pending);
     }
-}
-
-/// How many drained pending-delivery buffers a machine keeps for reuse.
-const PENDING_POOL_CAP: usize = 16;
-
-/// Queue `payload` for delivery at the boundary `k ≥ 1` supersteps from now,
-/// reusing drained level buffers from `pool`.
-fn queue_pending<M>(
-    pending: &mut VecDeque<Vec<(Pid, M)>>,
-    pool: &mut Vec<Vec<(Pid, M)>>,
-    fault_stats: &mut FaultStats,
-    k: u32,
-    dest: Pid,
-    payload: M,
-) {
-    let idx = (k.max(1) - 1) as usize;
-    while pending.len() <= idx {
-        pending.push_back(pool.pop().unwrap_or_default());
-    }
-    pending[idx].push((dest, payload));
-    fault_stats.in_flight += 1;
 }
 
 /// The unhooked per-sender tally, run once per sender: record its work and
@@ -1144,7 +1022,7 @@ fn tally_sender<M>(
     }
     // A work-only sender still gets its slot buffer cleared: the trace
     // multiplicity scan walks every sender's.
-    resolve_slots_into(pid, p, out, slots, materialize)?;
+    resolve_outbox(pid, p, out, slots, materialize)?;
     let n = out.envelopes.len();
     if n == 0 {
         return Ok(());
@@ -1166,9 +1044,8 @@ fn tally_sender<M>(
 /// The hooked delivery pass: walk the senders' outboxes in ascending pid
 /// order, record their work/send traffic, apply each envelope's
 /// precomputed fate in the canonical delivery order (source pid ascending,
-/// then send order), place surviving payloads into the arena, then land
-/// the due late arrivals after them. Returns the number of payloads
-/// delivered.
+/// then send order), and place surviving payloads into the arena. Returns
+/// the number of payloads delivered.
 #[allow(clippy::too_many_arguments)]
 fn delivery_pass<M: Clone>(
     senders: &[Pid],
@@ -1180,12 +1057,9 @@ fn delivery_pass<M: Clone>(
     per_proc_sent: &mut [u64],
     inboxes: &mut MsgArena<M>,
     builder: &mut ProfileBuilder,
-    pending: &mut VecDeque<Vec<(Pid, M)>>,
-    pending_pool: &mut Vec<Vec<(Pid, M)>>,
+    late: &mut LateQueue<M>,
     fault_stats: &mut FaultStats,
     counters: &mut FaultCounters,
-    mut due: Vec<(Pid, M)>,
-    recv_counts: &mut EpochCounts,
 ) -> u64 {
     let mut delivered = 0u64;
     for &pid in senders {
@@ -1202,183 +1076,73 @@ fn delivery_pass<M: Clone>(
         for (msg_idx, (env, &slot)) in out.envelopes.drain(..).zip(slots.iter()).enumerate() {
             let fate = fates[pid][msg_idx];
             fault_stats.injected += 1;
-            // A payload bound for a crash-stopped destination is destroyed
-            // at the custody transfer: bandwidth and the injection slot
-            // were consumed (the network accepted the send), but nothing
-            // lands and the `crashed` ledger column is charged instead of
-            // `delivered`.
-            let dest_dead = crashed.contains(env.dest);
+            // Every fate consumed bandwidth and an injection slot (the
+            // network accepted the send); a displacement moves the slot.
+            builder.record_injection(match fate {
+                Fate::Displace(d) => slot + d,
+                _ => slot,
+            });
             match fate {
-                Fate::Deliver => {
-                    builder.record_injection(slot);
-                    if dest_dead {
-                        fault_stats.crashed += 1;
-                        counters.crashed += 1;
-                    } else {
-                        recv_counts.add(env.dest, 1);
-                        inboxes.place(env.dest, env.payload);
-                        delivered += 1;
-                        fault_stats.delivered += 1;
-                    }
-                }
                 Fate::Drop => {
-                    // The send consumed bandwidth and a slot; nothing
-                    // arrives.
-                    builder.record_injection(slot);
                     fault_stats.dropped += 1;
                     counters.dropped += 1;
+                    continue;
+                }
+                Fate::Delay(k) => {
+                    late.push(k, env.dest, env.payload, fault_stats);
+                    fault_stats.delayed += 1;
+                    counters.delayed += 1;
+                    continue;
                 }
                 Fate::Duplicate => {
-                    builder.record_injection(slot);
-                    let copy = env.payload.clone();
-                    if dest_dead {
-                        fault_stats.crashed += 1;
-                        counters.crashed += 1;
-                    } else {
-                        recv_counts.add(env.dest, 1);
-                        inboxes.place(env.dest, env.payload);
-                        delivered += 1;
-                        fault_stats.delivered += 1;
-                    }
                     // The spurious copy arrives next superstep and meets
                     // *that* superstep's crash set when it lands.
-                    queue_pending(pending, pending_pool, fault_stats, 1, env.dest, copy);
+                    late.push(1, env.dest, env.payload.clone(), fault_stats);
                     fault_stats.duplicated += 1;
                     counters.duplicated += 1;
                 }
-                Fate::Delay(k) => {
-                    builder.record_injection(slot);
-                    queue_pending(
-                        pending,
-                        pending_pool,
-                        fault_stats,
-                        k.max(1),
-                        env.dest,
-                        env.payload,
-                    );
-                    fault_stats.delayed += 1;
-                    counters.delayed += 1;
-                }
-                Fate::Displace(d) => {
-                    builder.record_injection(slot + d);
-                    if dest_dead {
-                        fault_stats.crashed += 1;
-                        counters.crashed += 1;
-                    } else {
-                        recv_counts.add(env.dest, 1);
-                        inboxes.place(env.dest, env.payload);
-                        delivered += 1;
-                        fault_stats.delivered += 1;
-                    }
+                Fate::Displace(_) => {
                     fault_stats.displaced += 1;
                     counters.displaced += 1;
                 }
+                Fate::Deliver => {}
+            }
+            // A payload bound for a crash-stopped destination is destroyed
+            // at the custody transfer: nothing lands, and the `crashed`
+            // ledger column is charged instead of `delivered`.
+            if crashed.contains(env.dest) {
+                fault_stats.crashed += 1;
+                counters.crashed += 1;
+            } else {
+                inboxes.place(env.dest, env.payload);
+                delivered += 1;
+                fault_stats.delivered += 1;
             }
         }
         out.dests.clear();
         out.explicit = 0;
     }
-    // Late arrivals land at the same boundary as this superstep's sends,
-    // after them, and are charged receive bandwidth here. A late arrival
-    // whose destination is dead *now* is destroyed now — its earlier delay
-    // only deferred the custody transfer.
-    for (dest, payload) in due.drain(..) {
-        fault_stats.in_flight -= 1;
-        if crashed.contains(dest) {
-            fault_stats.crashed += 1;
-            counters.crashed += 1;
-            continue;
-        }
-        recv_counts.add(dest, 1);
-        inboxes.place(dest, payload);
-        delivered += 1;
-        fault_stats.delivered += 1;
-        counters.late_arrivals += 1;
-    }
-    if due.capacity() > 0 && pending_pool.len() < PENDING_POOL_CAP {
-        pending_pool.push(due);
-    }
     delivered
 }
 
-/// Assign injection slots to a processor's envelopes, refilling the recycled
-/// `out` buffer: explicit slots are honoured; auto messages fill the
-/// earliest slots not explicitly claimed. Errors if two explicit sends
-/// collide or a destination is invalid.
-///
-/// Allocation-free once `out` has warmed up, explicit slots included: the
-/// claim set is a sorted scratch prefix of `out` itself (drained off before
-/// returning), so a steady all-to-all of `send_at` calls — the sample-sort
-/// exchange — touches the heap zero times per superstep.
-fn resolve_slots_into<M>(
+/// Validate a processor's destinations, then resolve its injection slots
+/// (see [`resolve_slots_into`]). The bounds check is a vectorizable max
+/// over the flat dests lane, never an envelope walk; on violation the lane
+/// is rescanned for the first offender in send order.
+fn resolve_outbox<M>(
     pid: Pid,
     p: usize,
     out: &Outbox<M>,
     slots: &mut Vec<u64>,
     materialize: bool,
 ) -> Result<(), SimError> {
-    slots.clear();
-    // Fast path: plain `send` calls only (the outbox counted zero `send_at`
-    // posts) — slots are simply `0..n`, and the only remaining check is
-    // destination bounds, a vectorizable max over the flat dests lane (no
-    // envelope walk). On violation the lane is rescanned for the first
-    // offender, the same envelope the general first pass names. When no
-    // consumer reads individual slots (`materialize` false: unhooked,
-    // untraced), the sequence isn't even written — the empty buffer is the
-    // marker the delivery pass aggregates sequentially-slotted senders on.
-    let envelopes = &out.envelopes;
-    if out.explicit == 0 {
-        let mut max = 0usize;
-        for &d in &out.dests {
-            max = max.max(d);
-        }
-        if max >= p {
-            let dest = out.dests.iter().copied().find(|&d| d >= p).unwrap_or(max);
-            return Err(SimError::BadDestination { pid, dest });
-        }
-        if materialize {
-            slots.extend(0..envelopes.len() as u64);
-        }
-        return Ok(());
+    let max = out.dests.iter().copied().max().unwrap_or(0);
+    if max >= p {
+        let dest = out.dests.iter().copied().find(|&d| d >= p).unwrap_or(max);
+        return Err(SimError::BadDestination { pid, dest });
     }
-    for env in envelopes {
-        if env.dest >= p {
-            return Err(SimError::BadDestination {
-                pid,
-                dest: env.dest,
-            });
-        }
-        if let Some(s) = env.slot {
-            slots.push(s);
-        }
-    }
-    let claimed = slots.len();
-    slots[..claimed].sort_unstable();
-    if let Some(w) = slots[..claimed].windows(2).find(|w| w[0] == w[1]) {
-        return Err(SimError::DuplicateSlot { pid, slot: w[0] });
-    }
-    slots.reserve(envelopes.len());
-    // Autos merge against the sorted claim prefix: `next_auto` is monotone,
-    // so a single cursor visits each claimed slot at most once.
-    let mut next_auto = 0u64;
-    let mut cursor = 0usize;
-    for env in envelopes {
-        match env.slot {
-            Some(s) => slots.push(s),
-            None => {
-                while cursor < claimed && slots[cursor] <= next_auto {
-                    if slots[cursor] == next_auto {
-                        next_auto += 1;
-                    }
-                    cursor += 1;
-                }
-                slots.push(next_auto);
-                next_auto += 1;
-            }
-        }
-    }
-    slots.drain(..claimed);
-    Ok(())
+    let claims = out.envelopes.iter().map(|env| env.slot);
+    resolve_slots_into(pid, claims, out.explicit != 0, slots, materialize)
 }
 
 #[cfg(test)]
@@ -1461,6 +1225,24 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err, SimError::DuplicateSlot { pid: 2, slot: 5 });
+    }
+
+    #[test]
+    fn duplicate_slots_report_the_lowest_collision() {
+        // Two colliding pairs, the higher slot colliding first in send
+        // order: the error names the lowest duplicated slot.
+        let mut m: BspMachine<(), u8> = BspMachine::new(params(4), |_| ());
+        let err = m
+            .try_superstep(|pid, _s, _in, out| {
+                if pid == 1 {
+                    out.send_at(0, 1, 9);
+                    out.send_at(2, 1, 4);
+                    out.send_at(3, 1, 9);
+                    out.send_at(0, 1, 4);
+                }
+            })
+            .unwrap_err();
+        assert_eq!(err, SimError::DuplicateSlot { pid: 1, slot: 4 });
     }
 
     #[test]

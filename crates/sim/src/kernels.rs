@@ -5,40 +5,39 @@
 //! land in each destination arena this superstep?" — never has to walk
 //! `Envelope` structs (whose inline payloads make the walk a cache-miss per
 //! message for any non-trivial `M`). The kernel here sweeps the `usize`
-//! lane directly.
+//! lane directly, counting straight into the arena's segment table.
 //!
 //! It is bit-equivalent to the scalar per-envelope loop it replaced;
 //! `#[cfg(test)]` keeps that scalar reference alive and the proptest below
 //! pins the equivalence on random inputs — including the empty batch and a
 //! single message.
 
+use crate::arena::MsgArena;
 use crate::hook::Fate;
 use crate::Pid;
-use pbw_models::{EpochCounts, FrontierMask};
+use pbw_models::FrontierMask;
 
 /// Whether `fate` places a payload into the destination arena *this*
 /// superstep (drops never arrive; delays arrive in a later superstep).
 #[inline(always)]
-fn counts_now(fate: Fate) -> bool {
+pub(crate) fn counts_now(fate: Fate) -> bool {
     matches!(fate, Fate::Deliver | Fate::Duplicate | Fate::Displace(_))
 }
 
-/// Hooked counting: histogram one sender's destination lane into
-/// epoch-stamped per-destination tallies, counting message `i` only if its
-/// fate arrives this superstep and its destination is alive. The kernel
-/// *must* branch: `add(d, 0)` would stamp `d` into the dirty set and change
-/// which arenas the layout visits. The crash lane is read word-wise out of
-/// the [`FrontierMask`]: one shift + mask per destination, no byte table.
-pub fn count_dests_sparse_hooked(
+/// Hooked counting: count one sender's destination lane into the arena
+/// being filled, message `i` only if its fate arrives this superstep and
+/// its destination is alive. The crash lane is read word-wise out of the
+/// [`FrontierMask`]: one shift + mask per destination, no byte table.
+pub(crate) fn count_fated<M>(
     dests: &[Pid],
     fates: &[Fate],
     crashed: &FrontierMask,
-    counts: &mut EpochCounts,
+    fill: &mut MsgArena<M>,
 ) {
     debug_assert_eq!(dests.len(), fates.len());
     for (&d, &f) in dests.iter().zip(fates) {
         if counts_now(f) && !crashed.contains(d) {
-            counts.add(d, 1);
+            fill.count(d, 1);
         }
     }
 }
@@ -94,7 +93,7 @@ mod tests {
         // The hooked kernel matches the scalar loop slot-for-slot — lengths
         // 0..40 cover empty, single-message, and long lanes.
         #[test]
-        fn sparse_kernels_match_dense(
+        fn fated_count_matches_scalar(
             p in 1usize..16,
             msgs in proptest::collection::vec((0usize..16, fate_strategy()), 0..40),
             crash_mask in 0u16..u16::MAX,
@@ -105,10 +104,11 @@ mod tests {
 
             let mut dense = vec![0usize; p];
             scalar_count(&dests, Some(&fates), &crashed, &mut dense);
-            let mut sparse = EpochCounts::new(p);
-            count_dests_sparse_hooked(&dests, &fates, &crash_mask_of(&crashed), &mut sparse);
+            let mut arena: MsgArena<()> = MsgArena::new(p);
+            count_fated(&dests, &fates, &crash_mask_of(&crashed), &mut arena);
+            arena.begin_counted();
             for (pid, &d) in dense.iter().enumerate() {
-                prop_assert_eq!(sparse.get(pid), d as u64, "hooked pid {}", pid);
+                prop_assert_eq!(arena.len(pid), d, "hooked pid {}", pid);
             }
         }
     }

@@ -36,9 +36,10 @@
 //!   as required by the Section 4.2 ternary broadcast.
 
 pub(crate) mod arena;
+pub(crate) mod barrier;
 pub mod bsp;
 pub mod hook;
-pub mod kernels;
+pub(crate) mod kernels;
 pub mod qsm;
 pub mod rng;
 pub mod summary;

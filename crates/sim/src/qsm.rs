@@ -22,12 +22,13 @@
 //!   into the earliest free slots.
 
 use crate::arena::MsgArena;
+use crate::barrier::{resolve_slots_into, FaultMasks, LateQueue};
 use crate::hook::{BatchDests, DeliveryHook, Fate, FaultStats};
+use crate::kernels::counts_now;
 use crate::{Pid, SimError};
 use pbw_models::{EpochCounts, FrontierMask, MachineParams, ProfileBuilder, SuperstepProfile};
 use pbw_trace::{FaultCounters, TraceEvent, TraceSink, TraceSource};
 use rayon::prelude::*;
-use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// A shared-memory word. The paper's Section 5 bounds are sensitive to the
@@ -59,11 +60,22 @@ enum Request {
     },
 }
 
+impl Request {
+    fn slot(&self) -> Option<u64> {
+        match self {
+            Request::Read { slot, .. } | Request::Write { slot, .. } => *slot,
+        }
+    }
+}
+
 /// Per-processor request buffer for one QSM phase.
 #[derive(Debug, Default)]
 pub struct QsmCtx {
     requests: Vec<Request>,
     work: u64,
+    /// Number of `read_at`/`write_at` (explicit-slot) requests since the
+    /// last reset.
+    explicit: usize,
 }
 
 impl QsmCtx {
@@ -79,6 +91,7 @@ impl QsmCtx {
             addr,
             slot: Some(slot),
         });
+        self.explicit += 1;
     }
 
     /// Issue a shared-memory write, pipelined.
@@ -97,6 +110,7 @@ impl QsmCtx {
             value,
             slot: Some(slot),
         });
+        self.explicit += 1;
     }
 
     /// Charge `w` units of local computation.
@@ -108,6 +122,7 @@ impl QsmCtx {
     fn reset(&mut self) {
         self.requests.clear();
         self.work = 0;
+        self.explicit = 0;
     }
 
     fn counts(&self) -> (u64, u64) {
@@ -166,15 +181,9 @@ pub struct QsmMachine<S> {
     resolved: Vec<Vec<u64>>,
     /// Per-processor precomputed fates (hooked machines only).
     fates: Vec<Vec<Fate>>,
-    /// Stalled processors this phase (read only behind `hooked`); cleared
-    /// by an O(1) epoch bump and filled through
-    /// [`DeliveryHook::fill_fault_masks`].
-    stalled: FrontierMask,
-    /// Crash-stopped processors this phase.
-    crashed: FrontierMask,
-    /// Counting-pass scratch: per-processor result segment sizes,
-    /// epoch-stamped, so the reset is O(1) instead of an O(p) `fill(0)`.
-    arena_counts: EpochCounts,
+    /// Stalled and crashed processors this phase (read only behind
+    /// `hooked`).
+    faults: FaultMasks,
     /// Contention audit scratch: epoch-stamped readers/writers per
     /// location, reset in O(1) and walked via their dirty lists.
     readers: EpochCounts,
@@ -199,11 +208,9 @@ pub struct QsmMachine<S> {
     sink: Arc<dyn TraceSink>,
     trace_label: String,
     hook: Option<Arc<dyn DeliveryHook>>,
-    /// `pending_results[k]` holds read results the memory system will hand
-    /// back `k + 1` phases from now (delayed responses, duplicate copies).
-    pending_results: VecDeque<Vec<(Pid, ReadResult)>>,
-    /// Drained pending-level buffers kept for reuse by `queue_result`.
-    pending_pool: Vec<Vec<(Pid, ReadResult)>>,
+    /// Read results the memory system will hand back in a later phase
+    /// (delayed responses, duplicate copies).
+    late: LateQueue<ReadResult>,
     fault_stats: FaultStats,
 }
 
@@ -226,9 +233,7 @@ impl<S: Send + Sync> QsmMachine<S> {
             ctxs: std::iter::repeat_with(QsmCtx::default).take(p).collect(),
             resolved: vec![Vec::new(); p],
             fates: Vec::new(),
-            stalled: FrontierMask::new(p),
-            crashed: FrontierMask::new(p),
-            arena_counts: EpochCounts::new(p),
+            faults: FaultMasks::new(p),
             readers: EpochCounts::new(size),
             writers: EpochCounts::new(size),
             frontier: Vec::new(),
@@ -242,8 +247,7 @@ impl<S: Send + Sync> QsmMachine<S> {
             sink: pbw_trace::global_sink(),
             trace_label: String::new(),
             hook: None,
-            pending_results: VecDeque::new(),
-            pending_pool: Vec::new(),
+            late: LateQueue::default(),
             fault_stats: FaultStats::default(),
         }
     }
@@ -429,19 +433,14 @@ impl<S: Send + Sync> QsmMachine<S> {
         std::mem::swap(&mut self.read_results, &mut self.spare);
         self.read_results.clear();
 
-        // A stalled processor skips its closure this phase; its undelivered
-        // read results are re-presented next phase. The masks are cleared
-        // in O(1) (epoch bumps) and filled in one
-        // [`DeliveryHook::fill_fault_masks`] call, so a hook that knows its
-        // fault windows in closed form never pays the per-pid O(p) scan.
+        // The stall/crash step's masks (see `FaultMasks`): a stalled
+        // processor's undelivered read results are re-presented next phase.
         // Unhooked machines never read the masks (every use below is
         // guarded by `hooked`).
         let hook = self.hook.clone();
         let hooked = hook.is_some();
         if let Some(h) = &hook {
-            self.stalled.clear();
-            self.crashed.clear();
-            h.fill_fault_masks(step, &mut self.stalled, &mut self.crashed);
+            self.faults.fill(h.as_ref(), step);
         }
 
         // Run the processors, each filling its recycled context, and
@@ -452,8 +451,7 @@ impl<S: Send + Sync> QsmMachine<S> {
         match active {
             None => {
                 let f = &f;
-                let stalled = &self.stalled;
-                let crashed = &self.crashed;
+                let faults = &self.faults;
                 let spare = &self.spare;
                 let _: Vec<()> = self
                     .states
@@ -462,7 +460,7 @@ impl<S: Send + Sync> QsmMachine<S> {
                     .enumerate()
                     .map(|(pid, (state, ctx))| {
                         ctx.reset();
-                        if !(hooked && (stalled.contains(pid) || crashed.contains(pid))) {
+                        if !(hooked && faults.skips(pid)) {
                             f(pid, state, spare.inbox(pid), ctx);
                         }
                     })
@@ -486,7 +484,7 @@ impl<S: Send + Sync> QsmMachine<S> {
                 for i in 0..self.frontier.len() {
                     let pid = self.frontier[i];
                     self.ctxs[pid].reset();
-                    if !(hooked && (self.stalled.contains(pid) || self.crashed.contains(pid))) {
+                    if !(hooked && self.faults.skips(pid)) {
                         f(
                             pid,
                             &mut self.states[pid],
@@ -511,12 +509,15 @@ impl<S: Send + Sync> QsmMachine<S> {
             }
         }
         for &pid in &self.frontier {
-            assign_slots_into(pid, &self.ctxs[pid].requests, &mut self.resolved[pid])?;
+            let ctx = &self.ctxs[pid];
+            let claims = ctx.requests.iter().map(Request::slot);
+            let slots = &mut self.resolved[pid];
+            resolve_slots_into(pid, claims, ctx.explicit != 0, slots, true)?;
         }
 
         // Fates are pure in `(phase, pid, msg_idx, slot)`, so they are
         // *computed* here; the sequential serve loop below only *applies*
-        // them, preserving the fixed order the ledger, pending-result
+        // them, preserving the fixed order the ledger, late-response
         // queue, and traces are defined by.
         if let Some(h) = &hook {
             if self.fates.len() != p {
@@ -534,10 +535,10 @@ impl<S: Send + Sync> QsmMachine<S> {
 
         // Contention audit: readers and writers per location, counting each
         // processor once per distinct address (the paper counts processors
-        // per location). The distinct-address scratch replaces a per-
-        // processor `BTreeSet`, so the audit is allocation-free at steady
-        // state, and the epoch-stamped tallies make it cost O(frontier
-        // requests) rather than O(memory size). Every conflict check happens
+        // per location). The distinct-address scratch is recycled, so the
+        // audit is allocation-free at steady state, and the epoch-stamped
+        // tallies make it cost O(frontier requests) rather than O(memory
+        // size). Every conflict check happens
         // before anything is recorded into the persistent profile builder,
         // so a rejected phase leaves it untouched.
         self.readers.reset();
@@ -578,7 +579,7 @@ impl<S: Send + Sync> QsmMachine<S> {
 
         // From here on everything is sequential and deterministic. Borrow
         // the machine's parts individually so the serve loop can fill the
-        // arena while queueing pending responses.
+        // arena while queueing late responses.
         let Self {
             ref params,
             ref mut shared,
@@ -587,9 +588,7 @@ impl<S: Send + Sync> QsmMachine<S> {
             ref ctxs,
             ref resolved,
             ref fates,
-            ref stalled,
-            ref crashed,
-            ref mut arena_counts,
+            ref faults,
             ref readers,
             ref writers,
             ref frontier,
@@ -599,8 +598,7 @@ impl<S: Send + Sync> QsmMachine<S> {
             phase: ref mut phase_idx,
             ref sink,
             ref trace_label,
-            ref mut pending_results,
-            ref mut pending_pool,
+            ref mut late,
             ref mut fault_stats,
             ..
         } = *self;
@@ -617,76 +615,38 @@ impl<S: Send + Sync> QsmMachine<S> {
         }
 
         let mut counters = FaultCounters::default();
-        // Responses the memory system is due to release this phase (queued
-        // by earlier Delay/Duplicate fates).
-        let mut due: Vec<(Pid, ReadResult)> = pending_results.pop_front().unwrap_or_default();
+        let masks = hooked.then_some(faults);
 
-        // Counting pass: exact per-processor response counts (results a
-        // stalled processor retains, reads served now by fate, plus due
-        // late responses) lay out the arena segments before any result
-        // moves. Stalls are whole-processor facts the hook filled into the
-        // fault masks, scanned O(stalled-words) rather than O(p).
-        arena_counts.reset();
-        if hooked {
-            // Crash overrides stall: a down processor retains nothing (its
-            // unseen results evaporate, uncharged — they were already
-            // counted delivered).
-            let down = crashed.count() as u64;
-            fault_stats.crash_steps += down;
-            counters.crashed_procs += down;
-            for (leaf, word) in stalled.words() {
-                let live = word & !crashed.word(leaf);
-                let retained = u64::from(live.count_ones());
-                fault_stats.stalled_steps += retained;
-                counters.stalled_procs += retained;
-                let mut bits = live;
-                while bits != 0 {
-                    let pid = leaf * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    arena_counts.add(pid, spare.len(pid) as u64);
-                }
-            }
+        // Counting pass: the results stalled processors retain (crash
+        // overrides stall: a down processor retains nothing, its unseen
+        // results evaporate uncharged), the reads served now by fate, and
+        // the responses the memory system is due to release this phase
+        // (queued by earlier Delay/Duplicate fates).
+        if let Some(m) = masks {
+            m.charge_and_count_retained(spare, read_results, fault_stats, &mut counters);
         }
         for &pid in frontier.iter() {
-            for (msg_idx, req) in ctxs[pid].requests.iter().enumerate() {
-                if let Request::Read { .. } = req {
-                    let fate = if hooked {
-                        fates[pid][msg_idx]
-                    } else {
-                        Fate::Deliver
-                    };
-                    match fate {
-                        Fate::Deliver | Fate::Duplicate | Fate::Displace(_) => {
-                            arena_counts.add(pid, 1)
-                        }
-                        Fate::Drop | Fate::Delay(_) => {}
-                    }
-                }
-            }
+            let served = ctxs[pid]
+                .requests
+                .iter()
+                .enumerate()
+                .filter(|&(i, req)| {
+                    matches!(req, Request::Read { .. }) && (!hooked || counts_now(fates[pid][i]))
+                })
+                .count();
+            read_results.count(pid, served);
         }
-        for &(pid, _) in due.iter() {
-            if !(hooked && crashed.contains(pid)) {
-                arena_counts.add(pid, 1);
-            }
-        }
-        read_results.begin_sparse(arena_counts);
-        // Stalled processors keep their unseen read results (consumed next
-        // phase instead); they are retained ahead of this phase's serves.
-        if hooked {
-            for (leaf, word) in stalled.words() {
-                let mut bits = word & !crashed.word(leaf);
-                while bits != 0 {
-                    let pid = leaf * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    for result in spare.inbox(pid) {
-                        read_results.place(pid, *result);
-                    }
-                }
-            }
+        let due = late.pop_due();
+        LateQueue::count_due(&due, masks, read_results);
+        read_results.begin_counted();
+        // Retained results go ahead of this phase's serves.
+        if let Some(m) = masks {
+            m.place_retained(spare, read_results);
         }
 
         // Serve reads against the pre-phase memory; collect writes into
-        // (addr, pid, value) for min-pid arbitration per address.
+        // (addr, pid, value) for min-pid arbitration per address. Late
+        // responses land after this phase's on-time serves.
         pending_writes.clear();
         let (mut total_reads, total_writes) = serve_pass(
             frontier,
@@ -698,29 +658,11 @@ impl<S: Send + Sync> QsmMachine<S> {
             read_results,
             pending_writes,
             builder,
-            pending_results,
-            pending_pool,
+            late,
             fault_stats,
             &mut counters,
         );
-        // Late responses land after this phase's on-time serves. A response
-        // falling due while its processor is down dies in the network,
-        // charged to the crash column.
-        for (pid, result) in due.drain(..) {
-            fault_stats.in_flight -= 1;
-            if hooked && crashed.contains(pid) {
-                fault_stats.crashed += 1;
-                counters.crashed += 1;
-                continue;
-            }
-            read_results.place(pid, result);
-            fault_stats.delivered += 1;
-            counters.late_arrivals += 1;
-            total_reads += 1;
-        }
-        if due.capacity() > 0 && pending_pool.len() < RESULT_POOL_CAP {
-            pending_pool.push(due);
-        }
+        total_reads += late.land_due(due, masks, read_results, fault_stats, &mut counters);
         read_results.finish();
 
         // Arbitrary-rule write resolution: deterministic min-pid winner.
@@ -792,8 +734,7 @@ fn serve_pass(
     read_results: &mut MsgArena<ReadResult>,
     pending_writes: &mut Vec<(Addr, Pid, Word)>,
     builder: &mut ProfileBuilder,
-    pending_results: &mut VecDeque<Vec<(Pid, ReadResult)>>,
-    pending_pool: &mut Vec<Vec<(Pid, ReadResult)>>,
+    late: &mut LateQueue<ReadResult>,
     fault_stats: &mut FaultStats,
     counters: &mut FaultCounters,
 ) -> (u64, u64) {
@@ -833,28 +774,14 @@ fn serve_pass(
                     };
                     match fate {
                         Fate::Delay(k) => {
-                            queue_result(
-                                pending_results,
-                                pending_pool,
-                                fault_stats,
-                                k.max(1),
-                                pid,
-                                result,
-                            );
+                            late.push(k, pid, result, fault_stats);
                             fault_stats.delayed += 1;
                             counters.delayed += 1;
                         }
                         Fate::Duplicate => {
                             read_results.place(pid, result);
                             fault_stats.delivered += 1;
-                            queue_result(
-                                pending_results,
-                                pending_pool,
-                                fault_stats,
-                                1,
-                                pid,
-                                result,
-                            );
+                            late.push(1, pid, result, fault_stats);
                             fault_stats.duplicated += 1;
                             counters.duplicated += 1;
                             total_reads += 1;
@@ -878,61 +805,6 @@ fn serve_pass(
         }
     }
     (total_reads, total_writes)
-}
-
-/// How many drained pending-response buffers a machine keeps for reuse.
-const RESULT_POOL_CAP: usize = 16;
-
-/// Queue a read response for release `k ≥ 1` phases from now, reusing
-/// drained level buffers from `pool`.
-fn queue_result(
-    pending_results: &mut VecDeque<Vec<(Pid, ReadResult)>>,
-    pool: &mut Vec<Vec<(Pid, ReadResult)>>,
-    fault_stats: &mut FaultStats,
-    k: u32,
-    pid: Pid,
-    result: ReadResult,
-) {
-    let idx = (k.max(1) - 1) as usize;
-    while pending_results.len() <= idx {
-        pending_results.push_back(pool.pop().unwrap_or_default());
-    }
-    pending_results[idx].push((pid, result));
-    fault_stats.in_flight += 1;
-}
-
-/// Assign injection slots into the recycled buffer `out`: explicit slots
-/// honoured, autos fill earliest free. All-auto phases (the common case) are
-/// allocation-free — an empty `BTreeSet` never allocates.
-fn assign_slots_into(pid: Pid, requests: &[Request], out: &mut Vec<u64>) -> Result<(), SimError> {
-    let slot_of = |req: &Request| match req {
-        Request::Read { slot, .. } | Request::Write { slot, .. } => *slot,
-    };
-    let mut explicit: BTreeSet<u64> = BTreeSet::new();
-    for req in requests {
-        if let Some(s) = slot_of(req) {
-            if !explicit.insert(s) {
-                out.clear();
-                return Err(SimError::DuplicateSlot { pid, slot: s });
-            }
-        }
-    }
-    let mut next_auto = 0u64;
-    out.clear();
-    out.reserve(requests.len());
-    for req in requests {
-        match slot_of(req) {
-            Some(v) => out.push(v),
-            None => {
-                while explicit.contains(&next_auto) {
-                    next_auto += 1;
-                }
-                out.push(next_auto);
-                next_auto += 1;
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1076,6 +948,24 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err, SimError::DuplicateSlot { pid: 1, slot: 3 });
+    }
+
+    #[test]
+    fn duplicate_slots_report_the_lowest_collision() {
+        // Two colliding pairs, the higher slot colliding first in request
+        // order: the error names the lowest duplicated slot, as BSP does.
+        let mut m: QsmMachine<()> = QsmMachine::new(params(4), 8, |_| ());
+        let err = m
+            .try_phase(|pid, _s, _res, ctx| {
+                if pid == 1 {
+                    ctx.read_at(0, 9);
+                    ctx.write_at(1, 5, 4);
+                    ctx.read_at(2, 9);
+                    ctx.write_at(3, 5, 4);
+                }
+            })
+            .unwrap_err();
+        assert_eq!(err, SimError::DuplicateSlot { pid: 1, slot: 4 });
     }
 
     #[test]

@@ -174,13 +174,13 @@ stage_sorting-determinism() {
 # it exercises chunk boundaries neither the degenerate width-1 pool nor the
 # wide-8 pool hits. `faults` drives the hooked recovery driver,
 # `broadcast-lb` the unhooked broadcast tree through both superstep entry
-# points.
+# points, and `table1` the QSM broadcast, reduce, sort and leader phases.
 stage_cross-width-determinism() {
   local ref out scen w
   ref="$(mktemp)"
   out="$(mktemp)"
   trap "rm -f '$ref' '$out'" EXIT
-  for scen in faults broadcast-lb; do
+  for scen in faults broadcast-lb table1; do
     PBW_THREADS=1 cargo run --release -q -p pbw-bench --bin reproduce -- --quick --seed 7 --trace "$ref" "$scen" >/dev/null
     # Guard against the vacuous pass: if tracing silently broke and the
     # file is empty, diff would succeed while proving nothing.

@@ -16,11 +16,17 @@
 //! clone) plus the thread-pool dispatch (O(threads), volume-independent),
 //! which the second test bounds at a parallel pool width too.
 //!
-//! The whole suite lives in one `#[test]` per pool width: the counter is
-//! process-global, so measured sections must not run concurrently.
+//! Width-1 tests count only the allocations of the measuring thread: a
+//! one-thread pool runs every closure on the caller, so no engine
+//! allocation escapes the count, and a stray allocation on another thread
+//! of the test process (the harness, a test still winding down) cannot land
+//! in a measured window. The width-8 test must see its pool workers, so it
+//! counts process-wide; the tests hold one lock so that no two measured
+//! sections overlap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use parallel_bandwidth::algos::sample_sort::{
@@ -31,14 +37,30 @@ use parallel_bandwidth::pram::{AccessMode, Pram};
 use parallel_bandwidth::sim::{BspMachine, QsmMachine};
 
 /// Counts every allocation and reallocation routed through the global
-/// allocator (deallocations are free and irrelevant to the budget).
+/// allocator (deallocations are free and irrelevant to the budget), both
+/// process-wide and per thread.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Allocations made by the current thread. Const-initialized and
+    /// drop-free, so touching it from inside the allocator never allocates.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Whether [`allocs`] reads the process-wide counter (set by
+/// [`CountAllThreads`]) instead of the calling thread's.
+static COUNT_ALL_THREADS: AtomicBool = AtomicBool::new(false);
+
+fn count_one() {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -47,7 +69,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -56,7 +78,28 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    if COUNT_ALL_THREADS.load(Ordering::Relaxed) {
+        ALLOCS.load(Ordering::Relaxed)
+    } else {
+        THREAD_ALLOCS.with(Cell::get)
+    }
+}
+
+/// Switches [`allocs`] to the process-wide counter while alive, for
+/// measurements whose engine work runs on pool workers too.
+struct CountAllThreads;
+
+impl CountAllThreads {
+    fn start() -> Self {
+        COUNT_ALL_THREADS.store(true, Ordering::Relaxed);
+        CountAllThreads
+    }
+}
+
+impl Drop for CountAllThreads {
+    fn drop(&mut self) {
+        COUNT_ALL_THREADS.store(false, Ordering::Relaxed);
+    }
 }
 
 const P: usize = 64;
@@ -99,6 +142,34 @@ fn qsm_allocs_per_phase(reqs: usize) -> u64 {
             for k in 0..reqs {
                 ctx.read(P + (pid + k) % P);
                 ctx.write(pid, k as i64);
+            }
+        });
+    };
+    for _ in 0..WARMUP {
+        round(&mut qsm);
+    }
+    let before = allocs();
+    for _ in 0..MEASURED {
+        round(&mut qsm);
+    }
+    (allocs() - before) / MEASURED
+}
+
+/// Allocations per steady-state QSM phase whose requests are all pinned to
+/// explicit injection slots, at the given per-processor read+write count.
+/// Each processor staggers its reads onto even slots and its writes onto
+/// odd ones, so slot resolution sorts and checks a claim set as large as
+/// the request volume every phase.
+fn qsm_explicit_allocs_per_phase(reqs: usize) -> u64 {
+    let mp = MachineParams::from_gap(P, 2, 4);
+    let mut qsm: QsmMachine<u64> = QsmMachine::new(mp, 2 * P, |pid| pid as u64);
+    let round = |qsm: &mut QsmMachine<u64>| {
+        qsm.phase(|pid, state, results, ctx| {
+            *state = state.wrapping_add(results.len() as u64);
+            for k in 0..reqs {
+                let slot = 2 * ((pid + k) % reqs) as u64;
+                ctx.read_at(P + (pid + k) % P, slot);
+                ctx.write_at(pid, k as i64, slot + 1);
             }
         });
     };
@@ -445,9 +516,30 @@ fn sample_sort_exchange_stays_on_the_allocation_free_path() {
         });
 }
 
+/// Explicit-slot QSM phases (`read_at`/`write_at`) resolve their slots
+/// through the same recycled claim buffer as BSP's `send_at`: the
+/// allocation count must not move between a 1× and a 16× request volume.
+#[test]
+fn explicit_slot_phases_stay_on_the_allocation_free_path() {
+    let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap()
+        .install(|| {
+            assert_o1(
+                "qsm explicit slots",
+                qsm_explicit_allocs_per_phase(1),
+                qsm_explicit_allocs_per_phase(16),
+                16,
+            );
+        });
+}
+
 #[test]
 fn steady_state_supersteps_allocate_o1_parallel() {
     let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let _all_threads = CountAllThreads::start();
     // Autotuned chunk sizing is timing-fed: the sequential cutoff can
     // engage at one message volume and not the other, which legitimately
     // flickers the dispatch's constant allocation count by one or two.

@@ -971,9 +971,15 @@ proptest! {
 
     /// The QSM counterpart: dense `phase` ≡ `phase_active` over the
     /// requesters, at any requester density — states, shared memory,
-    /// profiles and trace stream — or, when `conflict` makes one location
-    /// both read and written, the same lowest-address `ReadWriteConflict`
-    /// from both entry points.
+    /// profiles, fault ledger and trace stream — or, when `conflict` makes
+    /// one location both read and written, the same lowest-address
+    /// `ReadWriteConflict` from both entry points. With `hooked`, a seeded
+    /// [`FaultPlan`] drops, delays, duplicates and displaces requests and
+    /// stalls and crashes processors, so stall retention, crash loss and
+    /// late responses ride both entry points; `explicit` pins every other
+    /// request to a staggered `read_at`/`write_at` slot, so autos merge
+    /// around claimed slots. A third, drain phase lets delayed responses
+    /// land.
     #[test]
     fn qsm_dense_and_active_phases_agree_at_any_density(
         p_sel in 0usize..3,
@@ -981,9 +987,12 @@ proptest! {
         max_requests in 1usize..5,
         seed in 0u64..1000,
         conflict in any::<bool>(),
+        hooked in any::<bool>(),
+        explicit in any::<bool>(),
     ) {
+        use parallel_bandwidth::prelude::{FaultPlan, FaultSpec};
         use parallel_bandwidth::sim::qsm::ReadResult;
-        use parallel_bandwidth::sim::{QsmCtx, QsmMachine, SimError, Word};
+        use parallel_bandwidth::sim::{FaultStats, QsmCtx, QsmMachine, SimError, Word};
         use parallel_bandwidth::trace::RecordingSink;
         use std::sync::Arc;
 
@@ -999,8 +1008,11 @@ proptest! {
         let mix = |pid: usize, j: usize| (pid * 7 + j * 13 + seed as usize) % p;
         // Reads land in [0, p) and writes in [p, 2p), so only the planted
         // conflict — the first requester writing a cell the last one
-        // reads — can make a location both read and written.
-        let planted = (conflict && n > 0).then(|| (requesters[0], requesters[n - 1], mix(n, 0)));
+        // reads — can make a location both read and written. Under faults
+        // either of the two may be stalled or crashed and never issue its
+        // half, so the conflict is planted on fault-free runs only.
+        let planted = (conflict && n > 0 && !hooked)
+            .then(|| (requesters[0], requesters[n - 1], mix(n, 0)));
         let request = |pid: usize, _s: &mut Word, _res: &[ReadResult], ctx: &mut QsmCtx| {
             if !is_requester[pid] {
                 return;
@@ -1008,10 +1020,14 @@ proptest! {
             // k = 0 makes a work-only context: still part of the frontier.
             let k = (pid + seed as usize) % (max_requests + 1);
             for j in 0..k {
-                if (pid + j).is_multiple_of(3) {
-                    ctx.write(p + mix(pid, j), (pid * 10 + j) as Word);
-                } else {
-                    ctx.read(mix(pid, j));
+                // Even requests claim slots staggered by pid; the odd ones
+                // fill the gaps as autos.
+                let slot = (explicit && j % 2 == 0).then(|| (pid % 3 + 2 * j) as u64);
+                match (slot, (pid + j).is_multiple_of(3)) {
+                    (None, true) => ctx.write(p + mix(pid, j), (pid * 10 + j) as Word),
+                    (None, false) => ctx.read(mix(pid, j)),
+                    (Some(s), true) => ctx.write_at(p + mix(pid, j), (pid * 10 + j) as Word, s),
+                    (Some(s), false) => ctx.read_at(mix(pid, j), s),
                 }
             }
             if k == 0 || pid.is_multiple_of(5) {
@@ -1032,12 +1048,26 @@ proptest! {
             }
         };
 
-        type Run = (Result<(), SimError>, Vec<String>, Vec<Word>, Vec<Word>);
+        type Run = (Result<(), SimError>, Vec<String>, Vec<Word>, Vec<Word>, FaultStats);
         let run = |active: bool| -> Run {
             let sink = Arc::new(RecordingSink::new());
             let mut m: QsmMachine<Word> =
                 QsmMachine::new(MachineParams::from_gap(p, 8, 4), 2 * p, |_| 0);
             m.set_sink(sink.clone()).set_trace_label("qsm-dense-vs-active");
+            if hooked {
+                let spec = FaultSpec {
+                    drop_rate: 0.1,
+                    duplicate_rate: 0.1,
+                    delay_rate: 0.1,
+                    max_delay: 2,
+                    displace_rate: 0.1,
+                    max_displacement: 2,
+                    stall_rate: 0.05,
+                    crash_rate: 0.02,
+                    max_crash_len: 2,
+                };
+                m.set_delivery_hook(Arc::new(FaultPlan::new(spec, seed ^ 0x51)));
+            }
             for (i, cell) in m.shared_mut().iter_mut().enumerate() {
                 *cell = (i * 3 + 1) as Word;
             }
@@ -1047,14 +1077,16 @@ proptest! {
                 m.try_phase(request)
             };
             let outcome = first.map(|_| {
-                if active {
-                    m.phase_active(&[], consume);
-                } else {
-                    m.phase(consume);
+                for _ in 0..2 {
+                    if active {
+                        m.phase_active(&[], consume);
+                    } else {
+                        m.phase(consume);
+                    }
                 }
             });
             let events = sink.take().iter().map(|e| e.to_json()).collect();
-            (outcome, events, m.states().to_vec(), m.shared().to_vec())
+            (outcome, events, m.states().to_vec(), m.shared().to_vec(), m.fault_stats())
         };
 
         let dense = run(false);
