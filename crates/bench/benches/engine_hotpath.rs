@@ -1,8 +1,8 @@
 //! The superstep delivery hot path, isolated: these scenarios spend their
 //! time in the engines' per-superstep bookkeeping (outbox staging, slot
 //! resolution, inbox delivery, profile construction), not in user compute,
-//! so they are the benches the CI regression gate pins (see
-//! `scripts/bench_gate.sh` and `BENCH_engine.json` at the repo root).
+//! so they are the benches the CI regression gate pins: `scripts/bench_gate.sh`
+//! runs them against the base revision built on the same host.
 //!
 //! Scenarios:
 //!

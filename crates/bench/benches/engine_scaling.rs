@@ -1,7 +1,8 @@
 //! How per-superstep engine cost scales with `p` when only a few
 //! processors are doing anything — the workloads the active-set execution
 //! path (PR 5) exists for. Pinned by the CI regression gate alongside
-//! `engine_hotpath` (see `scripts/bench_gate.sh` / `BENCH_engine.json`).
+//! `engine_hotpath`: `scripts/bench_gate.sh` runs both against the base
+//! revision built on the same host.
 //!
 //! Scenarios:
 //!
@@ -25,6 +26,9 @@
 //!   ×4 steps: the parallel closure pass over all p, then the single
 //!   sender-set tally path at every density, so the regression gate pins
 //!   the whole curve, not one regime.
+//! * `hooked_dense/p65536` — the 16% density-sweep superstep with a seeded
+//!   `FaultPlan` attached (drops, duplicates, delays, stalls): the hooked
+//!   engine path at scale, late-arrival queue and stalled inboxes included.
 //! * `qsm_sparse/p65536` — a QSM phase with 16 active processors (one
 //!   read + one write each) through `phase_active`, pinning the sparse
 //!   contention-audit path.
@@ -35,8 +39,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pbw_algos::sample_sort::{keyset, KeyDist, SampleSortConfig, SampleSortProgram, Sampling};
+use pbw_faults::{FaultPlan, FaultSpec};
 use pbw_models::MachineParams;
 use pbw_sim::{BspMachine, Outbox, QsmMachine};
+use std::sync::Arc;
 
 /// The fixed unbalanced workload: `SENDERS` processors, each sending
 /// `FANOUT` messages to destinations scattered over the whole machine.
@@ -156,6 +162,19 @@ fn bench_sparse_sweep(c: &mut Criterion) {
     group.finish();
 }
 
+/// The density-sweep body: the first `senders` of `p` processors each send
+/// four messages scattered over the whole machine.
+fn sweep_body(p: usize, senders: usize) -> impl Fn(usize, &mut u64, &[u64], &mut Outbox<u64>) {
+    move |pid, s, inbox, out| {
+        *s = s.wrapping_add(inbox.iter().sum::<u64>());
+        if pid < senders {
+            for k in 0..4 {
+                out.send((pid * 97 + k * 31 + 1) % p, (pid + k) as u64);
+            }
+        }
+    }
+}
+
 fn bench_density_sweep(c: &mut Criterion) {
     // One dense-entry superstep per iteration: the closure pass walks all
     // p processors, everything after it only the discovered senders.
@@ -165,24 +184,47 @@ fn bench_density_sweep(c: &mut Criterion) {
     group.sample_size(10);
     let p = 1usize << 16;
     let mp = MachineParams::from_gap(p, 16, 8);
-    const SWEEP_FANOUT: usize = 4;
     for &pct in &[1usize, 4, 16, 64, 100] {
         let senders = (p * pct / 100).max(1);
         group.bench_function(&format!("p{p}/active{pct}pct"), |b| {
             let mut machine: BspMachine<u64, u64> = BspMachine::new(mp, |_| 0);
-            let body = move |pid: usize, s: &mut u64, inbox: &[u64], out: &mut Outbox<u64>| {
-                *s = s.wrapping_add(inbox.iter().sum::<u64>());
-                if pid < senders {
-                    for k in 0..SWEEP_FANOUT {
-                        out.send((pid * 97 + k * 31 + 1) % p, (pid + k) as u64);
-                    }
-                }
-            };
-            b.iter(|| machine.superstep(body))
+            let body = sweep_body(p, senders);
+            b.iter(|| machine.superstep(&body))
         });
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_sparse_sweep, bench_density_sweep);
+fn bench_hooked_dense(c: &mut Criterion) {
+    // The density sweep's 16% superstep under a seeded fault plan: every
+    // message draws a fate (drop, duplicate, delay up to 2 supersteps) and
+    // every processor a stall, so this pins the hooked engine path at
+    // scale — late-arrival queue and retained stalled inboxes included.
+    let mut group = c.benchmark_group("engine_scaling");
+    group.sample_size(10);
+    let p = 1usize << 16;
+    let mp = MachineParams::from_gap(p, 16, 8);
+    let spec = FaultSpec {
+        drop_rate: 0.05,
+        duplicate_rate: 0.05,
+        delay_rate: 0.05,
+        max_delay: 2,
+        stall_rate: 0.01,
+        ..FaultSpec::none()
+    };
+    group.bench_function(&format!("hooked_dense/p{p}"), |b| {
+        let mut machine: BspMachine<u64, u64> = BspMachine::new(mp, |_| 0);
+        machine.set_delivery_hook(Arc::new(FaultPlan::new(spec, 7)));
+        let body = sweep_body(p, p * 16 / 100);
+        b.iter(|| machine.superstep(&body))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_sparse_sweep,
+    bench_density_sweep,
+    bench_hooked_dense
+);
 criterion_main!(benches);

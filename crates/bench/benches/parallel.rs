@@ -7,9 +7,9 @@
 //! * `faults_sweep/quick` — the full `faults` experiment, whose φ-sweep
 //!   and erosion sweep fan sweep points out through `par_iter`.
 //!
-//! Medians are recorded in `BENCH_parallel.json` at the repo root together
-//! with the host's core count — speedup is bounded by physical cores, so a
-//! 1-core CI box legitimately reports ≈1×. The core-aware gate in
+//! Speedup is bounded by physical cores, so a 1-core box legitimately
+//! reports ≈1×, and a recorded number means nothing without the host's
+//! core count. The core-aware gate in
 //! `scripts/bench_gate.sh --parallel` asserts a ≥2× floor at 4 threads on
 //! hosts with nproc ≥ 4 and degrades to an overhead ceiling (threads=8 at
 //! most 1.25× threads=1) on narrower containers, where the autotuner's

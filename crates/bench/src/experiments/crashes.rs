@@ -11,6 +11,7 @@
 //! fan-in to just the restarted processors — nearly free globally, still
 //! `g·h` locally.
 
+use super::with_point_sink;
 use crate::table::{fmt, Table};
 use pbw_core::recovery::checkpoint::{run_with_checkpointed_recovery_to, CheckpointConfig};
 use pbw_core::recovery::RecoveryConfig;
@@ -18,7 +19,6 @@ use pbw_core::schedulers::UnbalancedSend;
 use pbw_core::workload;
 use pbw_faults::{FaultPlan, FaultSpec};
 use pbw_models::MachineParams;
-use pbw_trace::{NullSink, RecordingSink, TraceEvent, TraceSink};
 use rayon::prelude::*;
 use std::sync::Arc;
 
@@ -29,22 +29,6 @@ const RATES: [f64; 4] = [0.0, 0.003, 0.01, 0.02];
 
 /// Checkpoint intervals the sweep visits.
 const INTERVALS: [u64; 3] = [1, 2, 4];
-
-/// Per-point private sink (same idiom as `reproduce faults`): points run in
-/// parallel, their recorded events replay into the global sink in sweep
-/// order, so trace output is byte-identical at every thread count.
-fn with_point_sink<R>(
-    tracing: bool,
-    run: impl FnOnce(Arc<dyn TraceSink>) -> R,
-) -> (R, Vec<TraceEvent>) {
-    if tracing {
-        let rec = Arc::new(RecordingSink::new());
-        let result = run(rec.clone());
-        (result, rec.take())
-    } else {
-        (run(Arc::new(NullSink)), Vec::new())
-    }
-}
 
 /// Run the sweep with the default fault seed.
 pub fn crashes(quick: bool) -> String {
@@ -166,6 +150,7 @@ pub fn crashes_seeded(quick: bool, seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbw_trace::NullSink;
 
     #[test]
     fn crashes_report_shape() {

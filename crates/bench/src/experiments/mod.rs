@@ -9,6 +9,9 @@ pub mod scheduling;
 pub mod separations;
 pub mod sorting;
 
+use pbw_trace::{NullSink, RecordingSink, TraceEvent, TraceSink};
+use std::sync::Arc;
+
 /// All experiment ids in presentation order.
 pub const ALL: &[&str] = &[
     "table1",
@@ -37,6 +40,25 @@ pub const ALL: &[&str] = &[
     "sorting-ablation",
     "sensitivity-audit",
 ];
+
+/// Run one sweep point against a private sink so the seeded sweeps
+/// (`faults`, `crashes`, `sorting`) can execute their points in parallel:
+/// the recorded events are replayed into the global sink in sweep order
+/// afterwards, keeping trace output byte-identical at every thread count.
+/// When the global sink is disabled nothing is recorded at all, matching
+/// the sequential path's cost.
+pub(crate) fn with_point_sink<R>(
+    tracing: bool,
+    run: impl FnOnce(Arc<dyn TraceSink>) -> R,
+) -> (R, Vec<TraceEvent>) {
+    if tracing {
+        let rec = Arc::new(RecordingSink::new());
+        let result = run(rec.clone());
+        (result, rec.take())
+    } else {
+        (run(Arc::new(NullSink)), Vec::new())
+    }
+}
 
 /// Dispatch one experiment by id (default fault seed).
 pub fn run(id: &str, quick: bool) -> Option<String> {

@@ -13,12 +13,11 @@
 //! duplicate-heavy keyset pins λ ≈ p/#values at *every* ratio — equal
 //! keys are unsplittable, so that workload never crosses over.
 
+use super::with_point_sink;
 use crate::table::{fmt, Table};
 use pbw_algos::sample_sort::{keyset, run_opts, KeyDist, SampleSortConfig, Sampling};
 use pbw_models::{BspG, BspM, CostModel, MachineParams, PenaltyFn};
-use pbw_trace::{NullSink, RecordingSink, TraceEvent, TraceSink};
 use rayon::prelude::*;
-use std::sync::Arc;
 
 /// Oversampling ratios the sweep visits (samples per processor). The top
 /// rung equals the block size `n/p` — regular sampling degenerates to
@@ -28,23 +27,6 @@ const RATIOS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 /// Models agree at a sweep point when the exchange-superstep BSP(g) price
 /// is within 5% of the BSP(m) price.
 const CROSSOVER: f64 = 1.05;
-
-/// Per-point private sink (same idiom as `reproduce faults`/`crashes`):
-/// points run in parallel, their recorded events replay into the global
-/// sink in sweep order, so trace output is byte-identical at every thread
-/// count.
-fn with_point_sink<R>(
-    tracing: bool,
-    run: impl FnOnce(Arc<dyn TraceSink>) -> R,
-) -> (R, Vec<TraceEvent>) {
-    if tracing {
-        let rec = Arc::new(RecordingSink::new());
-        let result = run(rec.clone());
-        (result, rec.take())
-    } else {
-        (run(Arc::new(NullSink)), Vec::new())
-    }
-}
 
 /// Human name of superstep `i` in the `⌈lg p⌉ + 3` layout.
 fn step_name(i: usize, rounds: usize) -> &'static str {

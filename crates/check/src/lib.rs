@@ -142,13 +142,16 @@ impl Budget {
     }
 
     /// Read the budget from `PBW_CHECK_BUDGET` (engine executions), or
-    /// [`DEFAULT_BUDGET`] if unset/unparsable.
-    pub fn from_env() -> Self {
-        let max = std::env::var("PBW_CHECK_BUDGET")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_BUDGET);
-        Budget::new(max)
+    /// [`DEFAULT_BUDGET`] if unset. A value that is not a whole number is
+    /// an error naming it, never a silent fall back to the default.
+    pub fn from_env() -> Result<Self, String> {
+        match std::env::var("PBW_CHECK_BUDGET") {
+            Err(std::env::VarError::NotPresent) => Ok(Budget::new(DEFAULT_BUDGET)),
+            Err(std::env::VarError::NotUnicode(v)) => Err(format!(
+                "PBW_CHECK_BUDGET={v:?} is not a whole number of engine runs"
+            )),
+            Ok(v) => v.parse().map_err(|e| format!("PBW_CHECK_BUDGET: {e}")),
+        }
     }
 
     /// Try to spend `n` units; `false` (and no spend) once exhausted.
@@ -168,6 +171,17 @@ impl Budget {
     /// The configured ceiling.
     pub fn max(&self) -> u64 {
         self.max
+    }
+}
+
+impl std::str::FromStr for Budget {
+    type Err = String;
+
+    /// Parse a budget of engine executions: a whole number, nothing else.
+    fn from_str(s: &str) -> Result<Self, String> {
+        s.parse()
+            .map(Budget::new)
+            .map_err(|_| format!("{s:?} is not a whole number of engine runs"))
     }
 }
 
@@ -374,6 +388,18 @@ mod tests {
         assert!(!report.truncated(), "tiny domain must fit the budget");
         assert!(report.families.iter().all(|f| f.leaves > 0));
         assert_eq!(report.families.len(), 5);
+    }
+
+    #[test]
+    fn budget_rejects_values_that_are_not_whole_numbers() {
+        assert_eq!("300000".parse::<Budget>().map(|b| b.max()), Ok(300_000));
+        for bad in ["3e5", "", " 300000", "-1", "300k", "1.5"] {
+            let err = bad.parse::<Budget>().expect_err(bad);
+            assert!(
+                err.contains(&format!("{bad:?}")),
+                "error must name {bad:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! ```
 //!
 //! Exit codes (also printed by `--help`): 0 all invariants verified;
-//! 1 counterexamples found; 2 usage error; 3 walk truncated under
+//! 1 counterexamples found; 2 usage error (an unknown argument, or a
+//! `PBW_CHECK_BUDGET` that is not a whole number); 3 walk truncated under
 //! `--require-exhaustive`; 4 `--self-test` without the feature;
 //! 5 `--self-test` failed (planted violation went undetected).
 
@@ -35,7 +36,7 @@ fn main() -> ExitCode {
                      exit codes:\n\
                        0  all invariants verified\n\
                        1  counterexample(s) found\n\
-                       2  usage error\n\
+                       2  usage error (unknown argument, unparsable PBW_CHECK_BUDGET)\n\
                        3  walk truncated by budget (--require-exhaustive only)\n\
                        4  --self-test without the check-selftest feature\n\
                        5  --self-test failed: planted violation went undetected",
@@ -53,7 +54,13 @@ fn main() -> ExitCode {
         return run_self_test();
     }
     let domain = if wide { Domain::wide() } else { Domain::ci() };
-    let mut budget = Budget::from_env();
+    let mut budget = match Budget::from_env() {
+        Ok(budget) => budget,
+        Err(e) => {
+            eprintln!("pbw-check: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let t0 = Instant::now();
     let report = run_all(&domain, &mut budget);
     print!("{report}");

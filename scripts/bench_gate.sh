@@ -1,387 +1,256 @@
 #!/usr/bin/env bash
-# Benchmark-regression gate for the superstep hot path.
+# Benchmark gates for the engine hot path, measured as same-host A/Bs.
 #
-# Runs the `engine_hotpath` and `engine_scaling` Criterion benches (quick:
-# 15-30 samples per scenario), extracts each scenario's [min median max]
-# timing triple, and fails if any scenario's MINIMUM is more than
-# THRESHOLD_PCT slower than the checked-in baseline in BENCH_engine.json.
+# Engine mode (no flag) builds the base revision's `engine_hotpath` and
+# `engine_scaling` benches in a temporary git worktree and runs them
+# interleaved with the working tree's build on this host, at PBW_THREADS=1:
+# ROUNDS rounds, each running both sides back to back, alternating A B /
+# B A. Per round a leg scores min(HEAD)/min(base), the ratio of the two
+# sides' minimum batch times. The gate fails when a leg's median score
+# exceeds 1 + THRESHOLD_PCT/100, or when a leg at base is missing at HEAD;
+# a leg only at HEAD is reported as new and not gated.
 #
-# Why gate on the minimum, not the median: on the shared 1-core CI
-# container, scheduler preemption inflates individual timed batches so
-# often that the median of 30 batches swings 30-100% run-to-run (measured
-# empirically — see DESIGN.md). The *minimum* batch time is the one
-# statistic preemption cannot inflate: it tracks how fast the code can go,
-# and it jitters only ~5-10% between runs. A real regression (e.g.
-# reintroducing a per-message allocation on the delivery path) slows every
-# batch, minimum included — so gating on the minimum loses no sensitivity,
-# only noise. Medians are still recorded in the baseline (median_ns /
-# seed_median_ns) as the before/after improvement history.
+# Why minimums: preemption inflates single timed batches, so a run's median
+# swings 30-100%, while a real regression (say, an allocation per message)
+# slows every batch, minimum included. Why an A/B: absolute minimums differ
+# by up to 2x between hosts. Why the median of paired rounds: on a shared
+# host a whole process can run 1.6x slow and fast processes come in bursts,
+# so the minimum over all of one side's rounds hinges on whether that side
+# caught a burst. DESIGN.md §8 has the measurements.
 #
-# Residual noise margin: even minimums occasionally catch a busy run
-# (observed up to ~+50% on one scenario in one run out of six). The 25%
-# threshold sits above the quiet-run jitter, and the gate additionally
-# retries the whole bench up to BENCH_GATE_RUNS times (default 3), passing
-# if any run is clean: a real regression fails every attempt, transient
-# load does not.
+# The base revision is derived, not configured: the merge-base with
+# origin/main when HEAD is not on it (a pull request), else HEAD~1 (a push
+# to main). The HEAD side is the working tree. The worktree and its target
+# dir live under target/bench-gate and are removed on exit.
 #
-# The --parallel mode is the core-aware speedup gate: it re-runs the
-# parallel_speedup bench (crates/bench/benches/parallel.rs: the same
-# workload pinned to 1-, 4-, and 8-thread pools) and branches on how many
-# cores this host actually has:
+# --self-test runs the same A/B with base := HEAD (one build against
+# itself), which must pass, then rescales HEAD by 1.5, which must fail.
 #
-#   nproc >= 4  the work-stealing pool has real cores to recruit, so
-#               parallelism must WIN: median speedup threads_1/threads_4
-#               must be >= SPEEDUP_FLOOR (2.0x) on both scenarios.
-#   nproc < 4   speedup is physically impossible, so the gate degrades to
-#               the only thing a narrow box can prove: a wide pool must be
-#               nearly free. threads_8 median <= OVERHEAD_CEIL (1.25x) of
-#               threads_1 — the autotuner's sequential cutoff is the
-#               mechanism — and the cross-width determinism suite
-#               (tests/parallel_conformance.rs) must pass.
+# --parallel is the core-aware speedup gate, a comparison of pool widths
+# within one run of the parallel_speedup bench (crates/bench/benches/
+# parallel.rs), so it needs no base:
+#   nproc >= 4  median threads_1/threads_4 must reach SPEEDUP_FLOOR on
+#               every scenario: real cores must be recruited;
+#   nproc < 4   threads_8 must stay within OVERHEAD_CEIL of threads_1 (a
+#               wide pool may not tax a narrow host), and the cross-width
+#               determinism suite must pass at widths 1, 4 and 8.
+# A load spike can spoil one run, so it gets PARALLEL_TRIES runs.
 #
-# Both branches sanity-check the committed BENCH_parallel.json: it must
-# record host.nproc so readers know which branch produced its numbers.
-#
-# Usage:
-#   scripts/bench_gate.sh                    # gate against BENCH_engine.json
-#   scripts/bench_gate.sh --refresh-baseline # rewrite median_ns from this run
-#                                            # (keeps seed_median_ns history)
-#   scripts/bench_gate.sh --self-test        # prove the gate trips on a
-#                                            # synthetic +50% slowdown
-#   scripts/bench_gate.sh --parallel         # core-aware speedup/overhead gate
-#   scripts/bench_gate.sh --refresh-parallel # rewrite BENCH_parallel.json
-#                                            # from this host's run
-#   BENCH_GATE_RUNS=1 scripts/bench_gate.sh  # disable the retry loop
-#
-# Baselines are recorded on the 1-core CI container with PBW_THREADS=1;
-# refresh the baseline from the same environment the gate runs in, never
-# from a fast developer machine.
+# Usage: scripts/bench_gate.sh [--self-test | --parallel]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BASELINE="BENCH_engine.json"
-PARALLEL_BASELINE="BENCH_parallel.json"
 THRESHOLD_PCT=25
-SPEEDUP_FLOOR="2.0"
-OVERHEAD_CEIL="1.25"
-RUNS="${BENCH_GATE_RUNS:-3}"
+ROUNDS=20
+SPEEDUP_FLOOR=2.0
+OVERHEAD_CEIL=1.25
+PARALLEL_TRIES=3
+BENCHES=(engine_hotpath engine_scaling)
 
-refresh=0
-selftest=0
-parallel=0
-refresh_parallel=0
-for arg in "$@"; do
-  case "$arg" in
-    --refresh-baseline) refresh=1 ;;
-    --self-test) selftest=1 ;;
-    --parallel) parallel=1 ;;
-    --refresh-parallel) refresh_parallel=1 ;;
-    *)
-      echo "usage: $0 [--refresh-baseline] [--self-test] [--parallel] [--refresh-parallel]" >&2
-      exit 2
-      ;;
-  esac
-done
+mode="${1:-}"
+case "$#:$mode" in
+  0: | 1:--self-test | 1:--parallel) ;;
+  *)
+    echo "usage: $0 [--self-test | --parallel]" >&2
+    exit 2
+    ;;
+esac
 
-command -v jq >/dev/null || {
-  echo "bench_gate: jq is required" >&2
-  exit 1
+# parse_times <col>: turn criterion-shim lines such as
+#   engine_hotpath/bsp_ring/p1024  time: [27.9 µs 28.9 µs 32.7 µs]
+# into "<leg> <ns>" pairs, taking the minimum (col 1) or the median (col 2).
+parse_times() {
+  awk -v col="$1" '
+    BEGIN { f["ns"] = 1; f["µs"] = 1e3; f["ms"] = 1e6; f["s"] = 1e9 }
+    / time: \[/ {
+      v = col == 1 ? substr($3, 2) : $5
+      u = col == 1 ? $4 : $6
+      if (u in f) printf "%s %.1f\n", $1, v * f[u]
+    }'
 }
 
 # ---------------------------------------------------------------------------
-# Core-aware parallel speedup gate (--parallel / --refresh-parallel)
+# --parallel: pool widths compared within one run
 # ---------------------------------------------------------------------------
 
-# Runs the parallel_speedup bench once and fills $par_measured with
-# "<scenario> <width> <median_ns>" triples parsed from lines like
-#   parallel_speedup/ring_superstep_p1024/threads_4  time: [171 µs 173 µs 181 µs]
-par_measured=""
-run_parallel_bench() {
-  echo "== bench_gate: running parallel_speedup (pool widths 1/4/8, nproc=$(nproc)) =="
-  local out
-  out="$(cargo bench -q -p pbw-bench --bench parallel 2>&1)" || {
-    printf '%s\n' "$out" >&2
-    exit 1
-  }
-  printf '%s\n' "$out"
-  par_measured="$(printf '%s\n' "$out" | awk '
-    function factor(unit) {
-      if (unit == "ns") return 1
-      if (unit == "µs") return 1000
-      if (unit == "ms") return 1000000
-      if (unit == "s") return 1000000000
-      return 0
-    }
-    /^parallel_speedup\// && / time: \[/ {
-      n = split($1, part, "/")
-      if (n != 3 || part[3] !~ /^threads_[0-9]+$/) next
-      width = substr(part[3], 9)
-      med = $5
-      fmed = factor($6)
-      if (fmed == 0) next
-      printf "%s %d %.1f\n", part[2], width, med * fmed
-    }
-  ')"
-  [ -n "$par_measured" ] || {
-    echo "bench_gate: no parallel_speedup 'time: [..]' lines in bench output" >&2
-    exit 1
-  }
-}
-
-# check_parallel <cores>: on a wide host every scenario's threads_1/threads_4
-# median ratio must clear SPEEDUP_FLOOR; on a narrow host threads_8 must stay
-# within OVERHEAD_CEIL of threads_1 (a wide pool may not tax a serial box).
-check_parallel() {
-  awk -v cores="$1" -v floor="$SPEEDUP_FLOOR" -v ceil="$OVERHEAD_CEIL" '
-    { med[$1 "," $2] = $3; if (!seen[$1]++) order[++n] = $1 }
-    END {
-      bad = 0
-      for (i = 1; i <= n; i++) {
-        s = order[i]
-        if (!((s ",1") in med) || !((s ",4") in med) || !((s ",8") in med)) {
-          printf "bench_gate: FAIL %s: missing a pool width (need 1, 4, 8)\n", s
-          bad = 1
-          continue
-        }
-        if (cores >= 4) {
-          speedup = med[s ",1"] / med[s ",4"]
-          if (speedup < floor) {
-            printf "bench_gate: FAIL %s: %.2fx speedup at 4 threads < %.1fx floor (nproc=%d)\n",
-              s, speedup, floor, cores
-            bad = 1
-          } else {
-            printf "bench_gate: ok   %s: %.2fx speedup at 4 threads (floor %.1fx, nproc=%d)\n",
-              s, speedup, floor, cores
-          }
-        } else {
-          overhead = med[s ",8"] / med[s ",1"]
-          if (overhead > ceil) {
-            printf "bench_gate: FAIL %s: threads_8 is %.2fx threads_1 > %.2fx ceiling (nproc=%d)\n",
-              s, overhead, ceil, cores
-            bad = 1
-          } else {
-            printf "bench_gate: ok   %s: threads_8 is %.2fx threads_1 (ceiling %.2fx, nproc=%d)\n",
-              s, overhead, ceil, cores
-          }
-        }
-      }
-      if (n == 0) { print "bench_gate: FAIL no parallel scenarios parsed"; bad = 1 }
-      exit bad
-    }
-  ' <(printf '%s\n' "$par_measured")
-}
-
-if [ "$refresh_parallel" -eq 1 ]; then
-  run_parallel_bench
-  tmp="$(mktemp)"
-  jq -n '{
-    benchmark: "parallel_speedup (crates/bench/benches/parallel.rs)",
-    hardware_note: "Speedup is bounded by physical cores: on a 1-core container a wide pool can only add overhead, so the honest numbers there are <= 1x and the gate degrades to the 1.25x overhead ceiling. Re-run scripts/bench_gate.sh --refresh-parallel on a multi-core host for real speedups; host.nproc below records which kind of host produced these numbers.",
-    gate: "scripts/bench_gate.sh --parallel: speedup_4_over_1 >= 2.0 on every scenario when nproc >= 4; threads_8 within 1.25x of threads_1 (plus the cross-width determinism suite) when nproc < 4",
-    host: { nproc: 0, os: "linux" },
-    units: "median nanoseconds per iteration (middle value of [min median max])",
-    results: {}
-  }' > "$tmp"
-  while read -r scenario width med; do
-    jq --arg s "$scenario" --arg k "threads_${width}_ns" --argjson v "$med" \
-      '.results[$s][$k] = $v' "$tmp" > "$tmp.2" && mv "$tmp.2" "$tmp"
-  done <<< "$par_measured"
-  jq --argjson n "$(nproc)" '
-    .host.nproc = $n
-    | .results |= with_entries(.value |= (
-        . + { speedup_4_over_1: ((.threads_1_ns / .threads_4_ns * 100 | round) / 100),
-              speedup_8_over_1: ((.threads_1_ns / .threads_8_ns * 100 | round) / 100) }
-      ))
-  ' "$tmp" > "$tmp.2" && mv "$tmp.2" "$tmp"
-  mv "$tmp" "$PARALLEL_BASELINE"
-  echo "bench_gate: parallel baseline refreshed into $PARALLEL_BASELINE (nproc=$(nproc))"
-  exit 0
-fi
-
-if [ "$parallel" -eq 1 ]; then
-  # The committed record must say which kind of host produced it — a reader
-  # (and the gate itself) interprets 0.9x very differently at nproc=1 vs 8.
-  jq -e '.host.nproc | numbers' "$PARALLEL_BASELINE" >/dev/null 2>&1 || {
-    echo "bench_gate: $PARALLEL_BASELINE missing host.nproc; run $0 --refresh-parallel" >&2
-    exit 1
-  }
+if [ "$mode" = --parallel ]; then
   cores="$(nproc)"
-  ok=0
-  for attempt in $(seq 1 "$RUNS"); do
-    run_parallel_bench
-    if check_parallel "$cores"; then
-      ok=1
+  passed=0
+  for try in $(seq "$PARALLEL_TRIES"); do
+    echo "== bench_gate: parallel_speedup at pool widths 1/4/8 (nproc=$cores, run $try/$PARALLEL_TRIES) =="
+    out="$(cargo bench -q -p pbw-bench --bench parallel 2>&1)" || {
+      printf '%s\n' "$out" >&2
+      exit 1
+    }
+    printf '%s\n' "$out"
+    if parse_times 2 <<< "$out" | awk -v cores="$cores" -v floor="$SPEEDUP_FLOOR" -v ceil="$OVERHEAD_CEIL" '
+      split($1, part, "/") == 3 && part[1] == "parallel_speedup" && part[3] ~ /^threads_[0-9]+$/ {
+        med[part[2] "," substr(part[3], 9)] = $2
+        if (!seen[part[2]]++) order[++n] = part[2]
+      }
+      END {
+        bad = n == 0
+        if (bad) print "bench_gate: FAIL no parallel_speedup scenarios parsed"
+        for (i = 1; i <= n; i++) {
+          s = order[i]
+          if (!((s ",1") in med) || !((s ",4") in med) || !((s ",8") in med)) {
+            printf "bench_gate: FAIL %s: missing a pool width (need 1, 4, 8)\n", s
+            bad = 1
+          } else if (cores >= 4) {
+            r = med[s ",1"] / med[s ",4"]
+            printf "bench_gate: %s %s: %.2fx speedup at 4 threads (floor %.1fx, nproc=%d)\n",
+              (r < floor) ? "FAIL" : "ok  ", s, r, floor, cores
+            bad = bad || r < floor
+          } else {
+            r = med[s ",8"] / med[s ",1"]
+            printf "bench_gate: %s %s: threads_8 is %.2fx threads_1 (ceiling %.2fx, nproc=%d)\n",
+              (r > ceil) ? "FAIL" : "ok  ", s, r, ceil, cores
+            bad = bad || r > ceil
+          }
+        }
+        exit bad
+      }'; then
+      passed=1
       break
     fi
-    if [ "$attempt" -lt "$RUNS" ]; then
-      echo "bench_gate: parallel attempt $attempt/$RUNS missed; retrying (transient load?)"
-    fi
   done
-  [ "$ok" -eq 1 ] || exit 1
+  [ "$passed" -eq 1 ] || exit 1
   if [ "$cores" -lt 4 ]; then
-    # Narrow host: speedup floors are unprovable here, so the determinism
-    # matrix is the rest of the degraded contract — byte-identical results
-    # at every pool width is what makes multi-core wins safe to claim.
-    echo "== bench_gate: nproc=$cores < 4, running cross-width determinism suite =="
+    # A narrow host cannot show a speedup, so byte-identical results at
+    # every pool width are the rest of what it can prove.
+    echo "== bench_gate: nproc=$cores < 4, running the cross-width determinism suite =="
     for w in 1 4 8; do
       PBW_THREADS="$w" cargo test --release -q --test parallel_conformance
     done
-    echo "bench_gate: parallel gate (degraded, nproc=$cores): overhead ceiling + determinism suite passed"
+    echo "bench_gate: parallel gate (nproc=$cores): overhead ceiling and determinism suite passed"
   else
-    echo "bench_gate: parallel gate (nproc=$cores): all scenarios >= ${SPEEDUP_FLOOR}x at 4 threads"
+    echo "bench_gate: parallel gate (nproc=$cores): every scenario >= ${SPEEDUP_FLOOR}x at 4 threads"
   fi
   exit 0
 fi
 
-# The benches the gate pins: the dense superstep hot path and the
-# active-set scaling sweep (PR 5).
-BENCHES=(engine_hotpath engine_scaling)
+# ---------------------------------------------------------------------------
+# Engine mode and --self-test: base vs HEAD, interleaved on this host
+# ---------------------------------------------------------------------------
 
-# Runs the gated benches once and fills $measured with
-# "<name> <min_ns> <median_ns>" triples. The Criterion shim prints one
-# line per scenario:
-#   engine_hotpath/bsp_ring/p1024  time: [27.9 µs 28.9 µs 32.7 µs]
-measured=""
-run_bench() {
-  echo "== bench_gate: running ${BENCHES[*]} (PBW_THREADS=${PBW_THREADS:-1}) =="
-  local out="" bench one
+work="$PWD/target/bench-gate"
+cleanup() {
+  rm -rf "$work"
+  git worktree prune
+}
+cleanup
+trap cleanup EXIT
+mkdir -p "$work"
+
+# bench_bins <source dir> <target dir>: build the gated benches and print
+# their executables, one per line, in BENCHES order.
+bench_bins() {
+  local args=() json bench exe
+  for bench in "${BENCHES[@]}"; do args+=(--bench "$bench"); done
+  json="$(cd "$1" && CARGO_TARGET_DIR="$2" cargo bench -q --no-run --message-format=json-render-diagnostics -p pbw-bench "${args[@]}")"
   for bench in "${BENCHES[@]}"; do
-    one="$(PBW_THREADS="${PBW_THREADS:-1}" cargo bench -q -p pbw-bench --bench "$bench" 2>&1)" || {
-      printf '%s\n' "$one" >&2
+    exe="$(grep -o "\"executable\":\"[^\"]*/deps/$bench-[0-9a-f]*\"" <<< "$json" | cut -d'"' -f4)"
+    [ -x "$exe" ] || {
+      echo "bench_gate: no $bench executable built in $1" >&2
       exit 1
     }
-    out+="$one"$'\n'
+    echo "$exe"
   done
-  printf '%s\n' "$out"
-  measured="$(printf '%s\n' "$out" | awk '
-    function factor(unit) {
-      if (unit == "ns") return 1
-      if (unit == "µs") return 1000
-      if (unit == "ms") return 1000000
-      if (unit == "s") return 1000000000
-      return 0
-    }
-    / time: \[/ {
-      name = $1
-      min = substr($3, 2)
-      fmin = factor($4)
-      med = $5
-      fmed = factor($6)
-      if (fmin == 0 || fmed == 0) next
-      printf "%s %.1f %.1f\n", name, min * fmin, med * fmed
-    }
-  ')"
-  [ -n "$measured" ] || {
-    echo "bench_gate: no 'time: [..]' lines in bench output" >&2
-    exit 1
-  }
 }
 
-if [ "$refresh" -eq 1 ]; then
-  run_bench
-  tmp="$(mktemp)"
-  if [ -s "$BASELINE" ]; then
-    cp "$BASELINE" "$tmp"
-  else
-    cat > "$tmp" << 'EOF'
-{
-  "benchmark": "engine_hotpath + engine_scaling (crates/bench/benches/)",
-  "hardware_note": "Recorded on the 1-core CI container (nproc = 1) with PBW_THREADS=1. Refresh only from the environment the gate runs in.",
-  "host": { "nproc": 1, "os": "linux" },
-  "units": "nanoseconds per iteration; min_ns/median_ns are the first/middle values of the shim's [min median max] triple",
-  "gate": "scripts/bench_gate.sh fails if any scenario's minimum regresses by more than 25% vs min_ns (the median is too preemption-noisy on the shared 1-core container); median_ns and seed_median_ns keep the before/after improvement history",
-  "results": {}
-}
-EOF
+echo "== bench_gate: building HEAD (working tree) =="
+mapfile -t head_bins < <(bench_bins "$PWD" "$PWD/target")
+[ "${#head_bins[@]}" -eq "${#BENCHES[@]}" ] || exit 1
+if [ "$mode" = --self-test ]; then
+  echo "== bench_gate --self-test: base := HEAD =="
+  base_bins=("${head_bins[@]}")
+else
+  base_rev="$(git rev-parse HEAD~1)"
+  if ! git merge-base --is-ancestor HEAD origin/main 2>/dev/null; then
+    base_rev="$(git merge-base HEAD origin/main 2>/dev/null || echo "$base_rev")"
   fi
-  while read -r name min med; do
-    jq --arg k "$name" --argjson mn "$min" --argjson md "$med" \
-      '.results[$k] = { min_ns: $mn, median_ns: $md, seed_median_ns: (.results[$k].seed_median_ns // $md) }' \
-      "$tmp" > "$tmp.2" && mv "$tmp.2" "$tmp"
-  done <<< "$measured"
-  jq --argjson n "$(nproc)" '.host.nproc = $n' "$tmp" > "$tmp.2" && mv "$tmp.2" "$tmp"
-  mv "$tmp" "$BASELINE"
-  echo "bench_gate: baseline refreshed into $BASELINE"
-  exit 0
+  echo "== bench_gate: building base $(git log -1 --format='%h %s' "$base_rev") =="
+  git worktree add --quiet --detach "$work/src" "$base_rev"
+  mapfile -t base_bins < <(bench_bins "$work/src" "$work/target")
+  [ "${#base_bins[@]}" -eq "${#BENCHES[@]}" ] || exit 1
 fi
 
-[ -s "$BASELINE" ] || {
-  echo "bench_gate: $BASELINE missing or empty; run $0 --refresh-baseline" >&2
-  exit 1
-}
-baseline_pairs="$(jq -r '.results | to_entries[] | "\(.key) \(.value.min_ns)"' "$BASELINE")"
-[ -n "$baseline_pairs" ] || {
-  echo "bench_gate: no baselines in $BASELINE; run $0 --refresh-baseline" >&2
-  exit 1
+# run_side <base|head> <round> <bin>...: one round of every gated bench,
+# appending "<round> <leg> <min ns>" lines to $work/<side>.times.
+run_side() {
+  local side="$1" round="$2" bin out
+  shift 2
+  for bin in "$@"; do
+    out="$(PBW_THREADS=1 "$bin")" || {
+      echo "bench_gate: $side bench $bin failed" >&2
+      exit 1
+    }
+    parse_times 1 <<< "$out" | sed "s/^/$round /" >> "$work/$side.times"
+  done
 }
 
-# check <scale>: compare measured minimums (scaled, for the self-test)
-# against the baseline min_ns. Exits nonzero on any regression or
-# coverage gap.
-check() {
+for round in $(seq "$ROUNDS"); do
+  echo "bench_gate: round $round/$ROUNDS"
+  if [ $((round % 2)) -eq 1 ]; then
+    run_side base "$round" "${base_bins[@]}"
+    run_side head "$round" "${head_bins[@]}"
+  else
+    run_side head "$round" "${head_bins[@]}"
+    run_side base "$round" "${base_bins[@]}"
+  fi
+done
+
+# gate <scale>: each leg's median over rounds of HEAD's minimum (times
+# <scale>) over base's minimum in the same round, against the threshold.
+gate() {
   awk -v scale="$1" -v thr="$THRESHOLD_PCT" '
-    NR == FNR { base[$1] = $2; next }
-    { meas[$1] = $2 * scale }
+    BEGIN { limit = 1 + thr / 100 }
+    FILENAME == ARGV[1] { base[$2, $1] = $3; if (!seen[$2]++) nbase++; next }
+    {
+      head[$2, $1] = $3 * scale
+      if (!($2 in inhead)) { inhead[$2] = 1; order[++n] = $2 }
+    }
     END {
-      bad = 0
-      for (name in base) {
-        if (!(name in meas)) {
-          printf "bench_gate: FAIL %s: in baseline but not in bench output\n", name
-          bad = 1
+      bad = n == 0 || nbase == 0
+      if (bad) print "bench_gate: FAIL no timings parsed on one side"
+      for (i = 1; i <= n; i++) {
+        leg = order[i]
+        if (!(leg in seen)) {
+          printf "bench_gate: new  %s: not at base, not gated\n", leg
           continue
         }
-        allowed = base[name] * (1 + thr / 100)
-        if (meas[name] > allowed) {
-          printf "bench_gate: FAIL %s: %.1f ns vs baseline %.1f ns (+%.1f%% > +%d%%)\n",
-            name, meas[name], base[name], (meas[name] / base[name] - 1) * 100, thr
-          bad = 1
-        } else {
-          printf "bench_gate: ok   %s: %.1f ns vs baseline %.1f ns (%+.1f%%)\n",
-            name, meas[name], base[name], (meas[name] / base[name] - 1) * 100
+        k = 0
+        for (r = 1; ((leg, r) in head) && ((leg, r) in base); r++) {
+          x = head[leg, r] / base[leg, r]
+          for (j = ++k; j > 1 && ratio[j - 1] > x; j--) ratio[j] = ratio[j - 1]
+          ratio[j] = x
         }
+        med = k % 2 ? ratio[(k + 1) / 2] : (ratio[k / 2] + ratio[k / 2 + 1]) / 2
+        printf "bench_gate: %s %s: x%.2f (rounds x%.2f..x%.2f, limit x%.2f)\n",
+          (med > limit) ? "FAIL" : "ok  ", leg, med, ratio[1], ratio[k], limit
+        bad = bad || med > limit
       }
-      for (name in meas) {
-        if (!(name in base)) {
-          printf "bench_gate: FAIL %s: no baseline (run --refresh-baseline)\n", name
-          bad = 1
-        }
+      for (leg in seen) if (!(leg in inhead)) {
+        printf "bench_gate: FAIL %s: at base but missing at HEAD\n", leg
+        bad = 1
       }
       exit bad
-    }
-  ' <(printf '%s\n' "$baseline_pairs") <(printf '%s\n' "$measured")
+    }' "$work/base.times" "$work/head.times"
 }
 
-# Run the bench up to $RUNS times; pass as soon as one run is clean.
-# Transient container load inflates whole runs, so a retry outlives it;
-# a genuine regression fails every attempt.
-gate_with_retries() {
-  local attempt
-  for attempt in $(seq 1 "$RUNS"); do
-    run_bench
-    if check 1.0; then
-      return 0
-    fi
-    if [ "$attempt" -lt "$RUNS" ]; then
-      echo "bench_gate: attempt $attempt/$RUNS regressed; retrying (transient load?)"
-    fi
-  done
-  return 1
-}
-
-if [ "$selftest" -eq 1 ]; then
-  echo "== bench_gate --self-test: shipped code must pass =="
-  gate_with_retries || {
-    echo "bench_gate self-test: shipped code failed the gate" >&2
+if [ "$mode" = --self-test ]; then
+  gate 1.0 || {
+    echo "bench_gate self-test: HEAD failed against itself" >&2
     exit 1
   }
-  echo "== bench_gate --self-test: a synthetic +50% slowdown must fail =="
-  if check 1.5; then
-    echo "bench_gate self-test: synthetic slowdown was NOT caught" >&2
+  echo "== bench_gate --self-test: HEAD rescaled x1.5 must fail =="
+  if gate 1.5; then
+    echo "bench_gate self-test: a synthetic +50% slowdown was NOT caught" >&2
     exit 1
   fi
-  echo "bench_gate self-test: gate passes shipped code and catches a synthetic +50% slowdown"
+  echo "bench_gate self-test: HEAD passes against itself and a synthetic +50% slowdown fails"
   exit 0
 fi
 
-gate_with_retries || exit 1
-echo "bench_gate: all scenario minimums within +${THRESHOLD_PCT}% of $BASELINE"
+gate 1.0
+echo "bench_gate: every leg within +${THRESHOLD_PCT}% of the base build on this host"

@@ -123,9 +123,12 @@ stage_model-check() {
   "$check_bin" --no-such-flag >/dev/null 2>&1 || rc=$?
   [ "$rc" -eq 2 ] || { echo "unknown flag exited $rc, want 2" >&2; exit 1; }
   rc=0
+  PBW_CHECK_BUDGET=3e5 "$check_bin" --require-exhaustive >/dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 2 ] || { echo "unparsable PBW_CHECK_BUDGET exited $rc, want 2" >&2; exit 1; }
+  rc=0
   "$check_bin" --self-test >/dev/null 2>&1 || rc=$?
   [ "$rc" -eq 4 ] || { echo "featureless --self-test exited $rc, want 4" >&2; exit 1; }
-  echo "ok: usage error -> 2, featureless self-test -> 4, both as documented"
+  echo "ok: usage errors (flag, budget) -> 2, featureless self-test -> 4, as documented"
 }
 
 stage_clippy() {
@@ -198,7 +201,10 @@ stage_chaos-soak() {
   scripts/chaos_soak.sh
 }
 
+# Same-host A/B bench gate: first prove its sensitivity (HEAD against
+# itself passes, HEAD x1.5 fails), then gate HEAD against the base revision.
 stage_bench-gate() {
+  scripts/bench_gate.sh --self-test
   scripts/bench_gate.sh
 }
 
@@ -209,13 +215,18 @@ stage_parallel-gate() {
 }
 
 # ThreadSanitizer needs -Zbuild-std (so std itself is instrumented), which
-# needs the rust-src component — unavailable offline. Run the race check
-# when the toolchain allows; the workflow's tsan job always runs it.
+# needs the rust-src component — unavailable offline. Run the race checks
+# when the toolchain allows: the rayon shim's pool, then the engines'
+# parallel paths under an 8-wide pool. The workflow's tsan job installs
+# rust-src, so it always runs them.
 stage_tsan() {
   if rustup component list --toolchain nightly 2>/dev/null | grep -q "rust-src (installed)"; then
-    (cd crates/shims/rayon && RUSTFLAGS="-Zsanitizer=thread" TSAN_OPTIONS="suppressions=/dev/null" \
-      cargo +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu -q)
+    local tsan=(cargo +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu -q)
+    (cd crates/shims/rayon && RUSTFLAGS="-Zsanitizer=thread" TSAN_OPTIONS="suppressions=/dev/null" "${tsan[@]}")
     echo "ok: rayon shim pool is race-free under TSan"
+    RUSTFLAGS="-Zsanitizer=thread" PBW_THREADS=8 "${tsan[@]}" -p pbw-sim -p pbw-pram
+    RUSTFLAGS="-Zsanitizer=thread" PBW_THREADS=8 "${tsan[@]}" -p parallel-bandwidth --test parallel_conformance
+    echo "ok: engines are race-free under TSan with an 8-wide pool"
   else
     echo "skipped: nightly rust-src not installed (offline); the ci.yml tsan job covers this"
   fi
