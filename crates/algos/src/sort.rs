@@ -329,19 +329,6 @@ pub fn qsm_m_detailed(params: MachineParams, inputs: &[Word]) -> (Measured, pbw_
         m,
         penalty: PenaltyFn::Exponential,
     };
-    if std::env::var("PBW_SORT_DEBUG").is_ok() {
-        for (i, prof) in qsm.profiles().iter().enumerate() {
-            eprintln!(
-                "qsm phase {i}: cost {:.1} w={} h={} kappa={} cm_len={} maxinj={}",
-                model.superstep_cost(prof),
-                prof.max_work,
-                prof.h_qsm(),
-                prof.max_contention,
-                prof.injections.len(),
-                prof.injections.iter().max().unwrap_or(&0)
-            );
-        }
-    }
     let summary = pbw_sim::CostSummary::price(params, qsm.profiles());
     (
         Measured {
@@ -551,18 +538,6 @@ pub fn bsp_m_detailed(params: MachineParams, inputs: &[Word]) -> (Measured, pbw_
         l: params.l,
         penalty: PenaltyFn::Exponential,
     };
-    if std::env::var("PBW_SORT_DEBUG").is_ok() {
-        for (i, prof) in bsp.profiles().iter().enumerate() {
-            eprintln!(
-                "bsp step {i}: cost {:.1} w={} h={} cm_len={} maxinj={}",
-                model.superstep_cost(prof),
-                prof.max_work,
-                prof.h_bsp(),
-                prof.injections.len(),
-                prof.injections.iter().max().unwrap_or(&0)
-            );
-        }
-    }
     let summary = pbw_sim::CostSummary::price(params, bsp.profiles());
     (
         Measured {

@@ -12,8 +12,10 @@
 //! core count. The core-aware gate in
 //! `scripts/bench_gate.sh --parallel` asserts a ≥2× floor at 4 threads on
 //! hosts with nproc ≥ 4 and degrades to an overhead ceiling (threads=8 at
-//! most 1.25× threads=1) on narrower containers, where the autotuner's
-//! sequential cutoff is the mechanism keeping wide pools cheap.
+//! most 1.25× threads=1) on narrower containers. Two pool rules keep wide
+//! pools cheap there: nested parallel calls (the engine supersteps inside
+//! each sweep point) run inline, and a job never wakes more helpers than
+//! the host has cores. CI also runs the gate pinned to one CPU.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pbw_models::MachineParams;

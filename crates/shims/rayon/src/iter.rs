@@ -2,17 +2,17 @@
 //!
 //! Everything here is driven by one invariant: **the output of a parallel
 //! iterator chain is a pure function of the input order, never of thread
-//! scheduling**. A chain is split into contiguous index chunks
-//! ([`IndexedParallelIterator::split_at`]), chunks are executed by whichever
-//! pool thread steals them first, each chunk's results land in its own
-//! pre-allocated slot, and the slots are concatenated in chunk order. The
-//! chunk *boundaries* are picked by the autotuner in [`crate::tune`] (and so
-//! vary with measured per-item cost), but every per-element computation sees
-//! exactly the indices and values it would see sequentially, and the merge
-//! is always in index order — so `PBW_THREADS=1` and `PBW_THREADS=64`
-//! produce identical values. The only construct whose result could observe
-//! chunk boundaries is [`IndexedParallelIterator::fold_chunks`], which is
-//! restricted to merges that are exact under regrouping (see its docs).
+//! scheduling**. A chain is split into `min(n, width × 4)` contiguous index
+//! chunks ([`IndexedParallelIterator::split_at`]), chunks are executed by
+//! whichever pool thread claims them first, each chunk's results land in its
+//! own pre-allocated slot, and the slots are concatenated in chunk order.
+//! The chunk list is a pure function of the length and the width; every
+//! per-element computation sees exactly the indices and values it would see
+//! sequentially, and the merge is always in index order — so
+//! `PBW_THREADS=1` and `PBW_THREADS=64` produce identical values. The only
+//! construct whose result could observe chunk boundaries is
+//! [`IndexedParallelIterator::fold_chunks`], which is restricted to merges
+//! that are exact under regrouping (see its docs).
 //!
 //! Deliberately absent: parallel `sum`/`reduce`. A tree reduction over
 //! floats re-associates with the chunk count, which would make results
@@ -22,10 +22,8 @@
 
 use std::ops::Range;
 use std::sync::Mutex;
-use std::time::Instant;
 
-use crate::pool::{current_num_threads, lock, run_range_tasks};
-use crate::tune;
+use crate::pool::{call_width, lock, run_tasks};
 
 /// A splittable, exactly-sized source of parallel work.
 ///
@@ -139,47 +137,18 @@ where
     F: Fn(P::SeqIter) -> R + Sync,
 {
     let n = p.len();
-    let threads = current_num_threads();
-    if threads <= 1 || n <= 1 {
+    let width = call_width();
+    if width <= 1 || n <= 1 {
         return vec![per_chunk(p.seq_iter())];
     }
-    // Chunk sizing is autotuned: the per-site cost estimator and the
-    // calibrated chunk floor decide the minimum items one chunk should
-    // carry. `min_items >= n` is the sequential cutoff — the whole job is
-    // worth at most ~one floor of work, so handing it to the scheduler
-    // would cost more than it buys. The cutoff still feeds the estimator,
-    // so a site whose jobs grow later re-enters the parallel path.
-    let site = tune::site_for::<F>();
-    // A test-support pin bypasses calibration and the estimator so chunk
-    // counts (and thus dispatch allocation counts) are a pure function of n.
-    let min_items = match tune::pinned_min_chunk() {
-        Some(pin) => pin.min(n),
-        None => tune::min_chunk_items(
-            site.estimate_ns_per_item(),
-            tune::chunk_floor_ns(),
-            n,
-            threads,
-        ),
-    };
-    if min_items >= n {
-        let t0 = Instant::now();
-        let out = per_chunk(p.seq_iter());
-        site.record(n, tune::elapsed_ns(t0));
-        return vec![out];
-    }
-    let chunks = balanced_chunks(p, n.div_ceil(min_items));
-    let k = chunks.len();
+    // 4 chunks per thread keeps the claim counter the only load balancer a
+    // straggling chunk needs.
+    let chunks = balanced_chunks(p, (width * 4).min(n));
     let inputs: Vec<Mutex<Option<P>>> = chunks.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    let outputs: Vec<Mutex<Option<R>>> = (0..k).map(|_| Mutex::new(None)).collect();
-    run_range_tasks(k, 1, &|lo, hi| {
-        for i in lo..hi {
-            let chunk = lock(&inputs[i]).take().expect("chunk claimed twice");
-            let items = chunk.len();
-            let t0 = Instant::now();
-            let result = per_chunk(chunk.seq_iter());
-            site.record(items, tune::elapsed_ns(t0));
-            *lock(&outputs[i]) = Some(result);
-        }
+    let outputs: Vec<Mutex<Option<R>>> = inputs.iter().map(|_| Mutex::new(None)).collect();
+    run_tasks(inputs.len(), &|i| {
+        let chunk = lock(&inputs[i]).take().expect("chunk claimed twice");
+        *lock(&outputs[i]) = Some(per_chunk(chunk.seq_iter()));
     });
     outputs
         .into_iter()
@@ -620,38 +589,68 @@ mod tests {
         }
     }
 
-    mod autotune_props {
+    /// The chunk lengths a `fold_chunks` over `0..n` sees, in order; with
+    /// `slow`, every item sleeps 1 ms.
+    fn chunk_lengths(n: usize, slow: bool) -> Vec<usize> {
+        (0..n).into_par_iter().fold_chunks(
+            Vec::new,
+            |mut lens: Vec<usize>, _| {
+                if slow {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                match lens.last_mut() {
+                    Some(len) => *len += 1,
+                    None => lens.push(1),
+                }
+                lens
+            },
+            |mut a, b| {
+                a.extend(b);
+                a
+            },
+        )
+    }
+
+    #[test]
+    fn chunk_list_depends_only_on_len_and_width() {
+        // A slow first call must not re-size the chunks of the second: the
+        // chunk list is min(n, width x 4) balanced pieces, whatever the
+        // measured cost.
+        let slow = at_width(8, || chunk_lengths(64, true));
+        let fast = at_width(8, || chunk_lengths(64, false));
+        assert_eq!(slow, vec![2; 32]);
+        assert_eq!(fast, slow);
+        assert_eq!(at_width(2, || chunk_lengths(997, false)).len(), 8);
+    }
+
+    #[test]
+    fn nested_parallel_call_runs_inline_on_the_calling_thread() {
+        let inner_ok: Vec<bool> = at_width(4, || {
+            (0..8usize)
+                .into_par_iter()
+                .map(|_| {
+                    let me = std::thread::current().id();
+                    let ids: Vec<std::thread::ThreadId> = (0..64usize)
+                        .into_par_iter()
+                        .map(|_| std::thread::current().id())
+                        .collect();
+                    ids.iter().all(|&id| id == me) && chunk_lengths(64, false) == vec![64]
+                })
+                .collect()
+        });
+        assert_eq!(inner_ok, vec![true; 8]);
+    }
+
+    mod collect_props {
         use super::super::*;
         use proptest::prelude::*;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            // Any (len, floor, workers, estimate) triple the tuner can see
-            // yields chunks that (a) never outnumber the items and (b)
-            // concatenate in order to the identity permutation — the full
-            // sizing-then-splitting path run_chunks takes.
-            #[test]
-            fn tuned_chunking_is_identity_permutation(
-                len in 1usize..5_000,
-                floor in 1u64..200_000,
-                workers in 1usize..16,
-                est_centi_ns in 0u64..100_000,
-            ) {
-                // 0 plays the cold-site (no estimate) path.
-                let est = (est_centi_ns > 0).then(|| est_centi_ns as f64 / 100.0);
-                let min_items = crate::tune::min_chunk_items(est, floor, len, workers);
-                prop_assert!((1..=len).contains(&min_items));
-                let chunks = balanced_chunks(ParRange(0..len), len.div_ceil(min_items));
-                prop_assert!(chunks.len() <= len);
-                let flat: Vec<usize> =
-                    chunks.into_iter().flat_map(|c| c.seq_iter()).collect();
-                prop_assert_eq!(flat, (0..len).collect::<Vec<_>>());
-            }
-
-            // End to end through the stealing pool: a parallel collect at a
-            // random width is the identity map, i.e. stealing and splitting
-            // never reorder, drop, or duplicate elements.
+            // End to end through the pool: a parallel collect at a random
+            // width is the identity map, i.e. chunking and claiming never
+            // reorder, drop, or duplicate elements.
             #[test]
             fn stolen_collect_is_identity(
                 len in 0usize..3_000,

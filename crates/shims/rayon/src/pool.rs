@@ -1,58 +1,45 @@
-//! The work-stealing thread pool behind the parallel iterators.
+//! The thread pool behind the parallel iterators.
 //!
-//! A *job* is a contiguous index range `[0, n)` executed by a closure
-//! `f(start, end)` over disjoint subranges, plus a per-job chunk floor
-//! `min_chunk` (the smallest range worth handing to another thread — sized
-//! by the autotuner in [`crate::tune`]). Distribution is work-stealing over
-//! per-thread deques:
+//! One process-global pool of detached worker threads executes *jobs*: a job
+//! is `n` independent tasks `f(0) .. f(n-1)` claimed off a shared atomic
+//! counter — whichever thread is free takes the next index. The submitting
+//! thread always participates, so a job completes even when no worker ever
+//! wakes. Three deterministic rules replace every timing-fed choice:
 //!
-//! * Every worker (and every submitting caller) owns a deque of *spans*
-//!   (job + subrange). The owner pushes and pops at the **back** (LIFO, so
-//!   it always resumes the range nearest what it just executed), thieves
-//!   steal from the **front** (FIFO, so a thief takes the largest,
-//!   coldest span — the classic Chase-Lev discipline, here under a mutex
-//!   per deque since this shim favors auditability over lock-freedom).
-//! * While executing a span, a thread keeps **splitting in half** — pushing
-//!   the far half onto its own deque and waking one sleeper — as long as
-//!   idle workers exist and both halves stay at or above the job's chunk
-//!   floor. Between floor-sized pieces of real work it re-checks, so
-//!   capacity freed mid-span is still recruited. With no idle workers, no
-//!   splits happen and the span runs as one sequential sweep.
-//! * The submitting caller participates through its own deque: it executes
-//!   the root span itself, then drains its deque and steals back its own
-//!   job's spans until the job completes. Every span therefore always sits
-//!   in some registered deque or is being executed, and a deque's owner
-//!   drains it before sleeping — so jobs finish even if every steal misses,
-//!   and nested submissions from inside a worker cannot deadlock.
-//!
-//! Determinism is unaffected by any of this: which thread executes which
-//! span never influences *values* — the chunking layer above merges
-//! per-chunk results in index order — so `PBW_THREADS=1` and a 64-wide
-//! stealing pool produce byte-identical output (pinned by the
-//! cross-thread-count conformance suite).
+//! * **Fixed chunks.** The iterator layer cuts a job into
+//!   `min(n, width × 4)` contiguous chunks, so the chunk list is a pure
+//!   function of the length and the width.
+//! * **Nested calls run inline.** A thread executing a pool task sets a
+//!   thread-local flag; a parallel call made under it sees width 1 and runs
+//!   as one chunk on that thread. Nested jobs never enter the queue.
+//! * **No more helpers than cores.** A job wakes
+//!   `min(width − 1, n − 1, available_parallelism() − 1)` workers; on a
+//!   1-CPU host every task runs on the caller. The chunk list still follows
+//!   the width, never the core count.
 //!
 //! ## Sizing
 //!
 //! The default width is, in priority order: `PBW_THREADS`, then
-//! `RAYON_NUM_THREADS`, then `std::thread::available_parallelism()`. A width
-//! of 1 short-circuits every parallel entry point to plain sequential
-//! execution on the caller. [`ThreadPool::install`] overrides the width for
-//! the duration of a closure on the calling thread — this is what the
-//! cross-thread-count conformance suite uses to compare `PBW_THREADS ∈
-//! {1, 2, 8}` inside one process.
+//! `RAYON_NUM_THREADS`, then `std::thread::available_parallelism()`. The
+//! first variable that is set must hold a positive whole number; anything
+//! else panics with a message naming the variable and its value, so a typo
+//! can never silently select another width. A width of 1 short-circuits
+//! every parallel entry point to plain sequential execution on the caller.
+//! [`ThreadPool::install`] overrides the width for the duration of a closure
+//! on the calling thread — this is what the cross-thread-count conformance
+//! suite uses to compare `PBW_THREADS ∈ {1, 2, 8}` inside one process.
 //!
 //! ## Safety
 //!
 //! The one `unsafe` construction in this crate is the lifetime erasure in
-//! [`run_range_tasks`]: the borrowed task closure is stored in the
-//! heap-allocated job as a raw pointer so workers can reach it. Soundness
-//! argument: a thread dereferences the pointer only while executing a span
-//! it removed from a deque, and a span's items are counted into the job's
-//! completion total only *after* `f` returns on them — so any live span
-//! (queued or executing) keeps `done < n`, which keeps the submitting
-//! caller blocked inside `run_range_tasks`, which keeps the borrow alive
-//! for every dereference. Once `done == n` no span of the job exists
-//! anywhere, so no dereference can happen after the caller returns.
+//! `run_tasks`: the borrowed task closure is stored in the heap-allocated
+//! job as a raw pointer so workers can reach it. Soundness argument: a thread
+//! dereferences the pointer only after claiming an index `i < n`, and an
+//! unexecuted claimed index keeps the job's completion count below `n`, which
+//! keeps the submitting caller blocked inside `run_tasks` — so the borrow is
+//! alive for every dereference. Workers that claim `i >= n` (late poppers of
+//! an already-finished job) only touch the atomic counter of the
+//! reference-counted job, never the closure.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -68,142 +55,86 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A lifetime-erased `&(dyn Fn(usize, usize) + Sync)` (see the module docs
-/// for the soundness argument).
-struct RangeFn(*const (dyn Fn(usize, usize) + Sync + 'static));
+/// A lifetime-erased `&(dyn Fn(usize) + Sync)` (see the module docs for the
+/// soundness argument).
+struct TaskFn(*const (dyn Fn(usize) + Sync + 'static));
 
 // SAFETY: the pointee is `Sync` (shared calls from any thread are fine) and
-// `run_range_tasks` guarantees it outlives every dereference.
-unsafe impl Send for RangeFn {}
-unsafe impl Sync for RangeFn {}
+// `run_tasks` guarantees it outlives every dereference.
+unsafe impl Send for TaskFn {}
+unsafe impl Sync for TaskFn {}
 
-/// One submitted job: the range `[0, n)`, its chunk floor, completion
-/// tracked item-by-item in `done`, first panic captured for the caller.
-struct Job {
-    func: RangeFn,
+/// One submitted job: `n` tasks claimed off `next`, completion tracked in
+/// `done`, first panic captured for the caller to re-throw.
+struct SharedJob {
+    func: TaskFn,
     n: usize,
-    min_chunk: usize,
+    next: AtomicUsize,
     done: AtomicUsize,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     finished: Mutex<bool>,
     cv: Condvar,
 }
 
-impl Job {
-    /// Count `k` items finished; the last item flips `finished` and wakes
-    /// the submitting caller.
-    fn complete(&self, k: usize) {
-        if self.done.fetch_add(k, Ordering::AcqRel) + k == self.n {
-            *lock(&self.finished) = true;
-            self.cv.notify_all();
-        }
-    }
-
-    fn is_finished(&self) -> bool {
-        self.done.load(Ordering::Acquire) >= self.n
-    }
-
-    fn wait_finished(&self) {
-        let mut fin = lock(&self.finished);
-        while !*fin {
-            fin = self.cv.wait(fin).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
+thread_local! {
+    /// Set while this thread executes pool tasks: parallel calls made under
+    /// it run inline as one chunk.
+    static IN_TASK: Cell<bool> = const { Cell::new(false) };
 }
 
-/// A contiguous piece of one job, owned by whichever deque it sits in.
-struct Span {
-    job: Arc<Job>,
-    start: usize,
-    end: usize,
-}
-
-/// Spans a fresh deque holds before its ring buffer must reallocate.
-/// Splitting produces at most ~2x a dispatch's chunk count in live spans,
-/// so this covers any realistic job; pre-reserving keeps steady-state
-/// dispatches free of timing-dependent growth reallocations (the
-/// alloc-budget suite counts allocations per superstep exactly).
-const DEQUE_CAPACITY: usize = 256;
-
-/// One thread's work queue. The owner uses the back, thieves the front.
-struct Deque {
-    q: Mutex<VecDeque<Span>>,
-}
-
-impl Deque {
-    fn new() -> Self {
-        Deque {
-            q: Mutex::new(VecDeque::with_capacity(DEQUE_CAPACITY)),
+/// Claim and run tasks until the claim counter is exhausted.
+fn work_on(job: &SharedJob) {
+    let outer = IN_TASK.replace(true);
+    loop {
+        let i = job.next.fetch_add(1, Ordering::Relaxed);
+        if i >= job.n {
+            break;
+        }
+        // SAFETY: `i < n` means this task has never run, so `done < n`, so
+        // the caller that owns the closure is still parked in `run_tasks`.
+        let f = unsafe { &*job.func.0 };
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i))) {
+            lock(&job.panic).get_or_insert(payload);
+        }
+        if job.done.fetch_add(1, Ordering::AcqRel) + 1 == job.n {
+            *lock(&job.finished) = true;
+            job.cv.notify_all();
         }
     }
-
-    fn push_back(&self, span: Span) {
-        lock(&self.q).push_back(span);
-    }
-
-    fn pop_back(&self) -> Option<Span> {
-        lock(&self.q).pop_back()
-    }
-
-    /// Steal from the cold end. With `want`, take only the front-most span
-    /// of that job (a participating caller helps its own job, never gets
-    /// entangled in someone else's).
-    fn steal_front(&self, want: Option<&Arc<Job>>) -> Option<Span> {
-        let mut q = lock(&self.q);
-        match want {
-            None => q.pop_front(),
-            Some(job) => {
-                let pos = q.iter().position(|s| Arc::ptr_eq(&s.job, job))?;
-                q.remove(pos)
-            }
-        }
-    }
+    IN_TASK.set(outer);
 }
 
 /// The process-global worker pool. Workers are spawned lazily, detached, and
-/// live for the rest of the process.
+/// live for the rest of the process (they block on the queue when idle).
 struct Pool {
-    /// Every registered deque: one per worker, plus one per thread that has
-    /// ever submitted a job. Steals scan this list.
-    deques: Mutex<Vec<Arc<Deque>>>,
-    /// Workers currently waiting for work — the split policy's signal.
-    idle: AtomicUsize,
-    /// Wake generation: bumped (under the mutex) whenever a span is pushed,
-    /// so a worker that advertised itself idle cannot miss a push that
-    /// raced its final steal check.
-    wake_gen: Mutex<u64>,
-    wake_cv: Condvar,
+    queue: Mutex<VecDeque<Arc<SharedJob>>>,
+    queue_cv: Condvar,
     spawned: Mutex<usize>,
 }
 
 fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| Pool {
-        deques: Mutex::new(Vec::new()),
-        idle: AtomicUsize::new(0),
-        wake_gen: Mutex::new(0),
-        wake_cv: Condvar::new(),
+        queue: Mutex::new(VecDeque::new()),
+        queue_cv: Condvar::new(),
         spawned: Mutex::new(0),
     })
 }
 
-thread_local! {
-    /// This thread's deque, created on first use (workers at startup,
-    /// callers at their first submission) and registered for the lifetime
-    /// of the process.
-    static MY_DEQUE: std::cell::OnceCell<Arc<Deque>> = const { std::cell::OnceCell::new() };
-}
-
-/// This thread's registered deque, creating and registering it on first use.
-fn my_deque() -> Arc<Deque> {
-    MY_DEQUE.with(|cell| {
-        cell.get_or_init(|| {
-            let d = Arc::new(Deque::new());
-            lock(&pool().deques).push(Arc::clone(&d));
-            d
-        })
-        .clone()
-    })
+fn worker_loop() {
+    let p = pool();
+    loop {
+        let job = {
+            let mut q = lock(&p.queue);
+            loop {
+                if let Some(job) = q.pop_front() {
+                    break job;
+                }
+                q = p.queue_cv.wait(q).unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        work_on(&job);
+    }
 }
 
 impl Pool {
@@ -220,174 +151,76 @@ impl Pool {
         }
     }
 
-    /// Announce newly-pushed work: bump the generation and wake one sleeper.
-    fn wake_one(&self) {
-        *lock(&self.wake_gen) += 1;
-        self.wake_cv.notify_one();
-    }
-
-    /// Steal one span from any registered deque but `me` — front-most span,
-    /// optionally restricted to `want`'s job. Scanning holds the registry
-    /// lock; per-deque locks nest inside it (always in that order, so no
-    /// cycle). Steals happen at chunk-floor granularity, so neither lock is
-    /// hot.
-    fn steal(&self, me: &Arc<Deque>, want: Option<&Arc<Job>>) -> Option<Span> {
-        let deques = lock(&self.deques);
-        for d in deques.iter() {
-            if Arc::ptr_eq(d, me) {
-                continue;
-            }
-            if let Some(span) = d.steal_front(want) {
-                return Some(span);
-            }
+    /// Enqueue `helpers` handles to `job` and wake that many workers.
+    fn submit(&'static self, job: &Arc<SharedJob>, helpers: usize) {
+        self.ensure_workers(helpers);
+        let mut q = lock(&self.queue);
+        for _ in 0..helpers {
+            q.push_back(job.clone());
         }
-        None
+        drop(q);
+        for _ in 0..helpers {
+            self.queue_cv.notify_one();
+        }
     }
 }
 
-/// Execute one span: keep offering the far half to idle workers while the
-/// range stays splittable, and run the remainder in chunk-floor-sized pieces
-/// so capacity freed mid-span is still recruited.
-fn execute(p: &'static Pool, me: &Arc<Deque>, span: Span) {
-    let Span {
-        job,
-        mut start,
-        mut end,
-    } = span;
-    // SAFETY: see the module docs — this span's items are not yet counted
-    // done, so the submitting caller (owner of the borrow) is still parked.
-    let f = unsafe { &*job.func.0 };
-    while start < end {
-        while end - start >= 2 * job.min_chunk && p.idle.load(Ordering::Relaxed) > 0 {
-            let mid = start + (end - start) / 2;
-            me.push_back(Span {
-                job: Arc::clone(&job),
-                start: mid,
-                end,
-            });
-            p.wake_one();
-            end = mid;
-        }
-        let stop = end.min(start + job.min_chunk);
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(start, stop))) {
-            lock(&job.panic).get_or_insert(payload);
-        }
-        job.complete(stop - start);
-        start = stop;
+/// The CPUs this process may run on, read once.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// The width a parallel call made on this thread may use: 1 inside a pool
+/// task (nested calls run inline), else [`current_num_threads`].
+pub(crate) fn call_width() -> usize {
+    if IN_TASK.with(Cell::get) {
+        1
+    } else {
+        current_num_threads()
     }
 }
 
-fn worker_loop() {
-    let p = pool();
-    let me = my_deque();
-    loop {
-        if let Some(span) = me.pop_back() {
-            execute(p, &me, span);
-            continue;
+/// Run `f(0) .. f(n-1)` across the pool plus the calling thread, returning
+/// when all `n` tasks have finished. Panics inside tasks are re-thrown on
+/// the caller (first one wins). With a call width of 1 the tasks run
+/// sequentially in index order on the caller.
+pub(crate) fn run_tasks(n: usize, f: &(dyn Fn(usize) + Sync)) {
+    let threads = call_width();
+    if threads <= 1 || n <= 1 {
+        for i in 0..n {
+            f(i);
         }
-        if let Some(span) = p.steal(&me, None) {
-            execute(p, &me, span);
-            continue;
-        }
-        // Go idle: record the wake generation, advertise idleness, re-check
-        // for work that raced in, then sleep until the generation moves.
-        // A push between the generation read and the wait cannot be lost —
-        // it bumps the generation under the same mutex the wait watches.
-        let gen = *lock(&p.wake_gen);
-        p.idle.fetch_add(1, Ordering::SeqCst);
-        if let Some(span) = p.steal(&me, None) {
-            p.idle.fetch_sub(1, Ordering::SeqCst);
-            execute(p, &me, span);
-            continue;
-        }
-        let mut g = lock(&p.wake_gen);
-        while *g == gen {
-            g = p.wake_cv.wait(g).unwrap_or_else(PoisonError::into_inner);
-        }
-        drop(g);
-        p.idle.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Run `f` over disjoint subranges covering `[0, n)` across the pool plus
-/// the calling thread, returning when every index has been executed. Spans
-/// handed to other threads never shrink below `min_chunk` items. Panics
-/// inside `f` are re-thrown on the caller (first one wins). With an
-/// effective width of 1, or `n <= min_chunk`, `f(0, n)` runs sequentially
-/// on the caller.
-pub fn run_range_tasks(n: usize, min_chunk: usize, f: &(dyn Fn(usize, usize) + Sync)) {
-    if n == 0 {
-        return;
-    }
-    let min_chunk = min_chunk.max(1);
-    let threads = current_num_threads();
-    if threads <= 1 || n <= min_chunk {
-        f(0, n);
         return;
     }
     // SAFETY of the transmute: only erases the pointee's lifetime so it can
-    // live in the non-generic `Job`; validity is argued in the module docs
-    // (dereferences only happen while this frame is alive).
-    let erased: *const (dyn Fn(usize, usize) + Sync + 'static) =
-        unsafe { std::mem::transmute(f as *const (dyn Fn(usize, usize) + Sync)) };
-    let job = Arc::new(Job {
-        func: RangeFn(erased),
+    // live in the non-generic `SharedJob`; validity is argued in the module
+    // docs (dereferences only happen while this frame is alive).
+    let erased: *const (dyn Fn(usize) + Sync + 'static) =
+        unsafe { std::mem::transmute(f as *const (dyn Fn(usize) + Sync)) };
+    let job = Arc::new(SharedJob {
+        func: TaskFn(erased),
         n,
-        min_chunk,
+        next: AtomicUsize::new(0),
         done: AtomicUsize::new(0),
         panic: Mutex::new(None),
         finished: Mutex::new(false),
         cv: Condvar::new(),
     });
-    let p = pool();
-    p.ensure_workers((threads - 1).min(n.div_ceil(min_chunk)));
-    let me = my_deque();
-    // Execute the root span directly: splits (not an initial broadcast)
-    // recruit workers, so a pool with no idle capacity costs nothing extra.
-    execute(
-        p,
-        &me,
-        Span {
-            job: Arc::clone(&job),
-            start: 0,
-            end: n,
-        },
-    );
-    // Help until done: drain our own deque (which can also hold spans of an
-    // outer job when this is a nested submission — executing those is
-    // harmless progress), then steal back our own job's spans. Sleeping is
-    // safe only once both come up empty: nobody pushes to our deque but us.
-    loop {
-        if job.is_finished() {
-            break;
-        }
-        if let Some(span) = me.pop_back() {
-            execute(p, &me, span);
-            continue;
-        }
-        if let Some(span) = p.steal(&me, Some(&job)) {
-            execute(p, &me, span);
-            continue;
-        }
-        job.wait_finished();
-        break;
+    let helpers = (threads - 1).min(n - 1).min(cores() - 1);
+    if helpers > 0 {
+        pool().submit(&job, helpers);
     }
+    work_on(&job);
+    let mut fin = lock(&job.finished);
+    while !*fin {
+        fin = job.cv.wait(fin).unwrap_or_else(PoisonError::into_inner);
+    }
+    drop(fin);
     let payload = lock(&job.panic).take();
     if let Some(payload) = payload {
         resume_unwind(payload);
     }
-}
-
-/// Run `f(0) .. f(n-1)` across the pool plus the calling thread, returning
-/// when all `n` tasks have finished — the index-at-a-time surface `join`
-/// and the tests use, layered over [`run_range_tasks`] with a chunk floor
-/// of one.
-pub fn run_tasks(n: usize, f: &(dyn Fn(usize) + Sync)) {
-    run_range_tasks(n, 1, &|start, end| {
-        for i in start..end {
-            f(i);
-        }
-    });
 }
 
 thread_local! {
@@ -396,19 +229,24 @@ thread_local! {
     static OVERRIDE: Cell<usize> = const { Cell::new(0) };
 }
 
+/// Parse the value of the width variable `var`: a positive whole number, or
+/// an error naming the variable and its value.
+fn parse_width(var: &str, value: &str) -> Result<usize, String> {
+    match value.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!(
+            "{var}={value:?} is not a positive whole number of threads"
+        )),
+    }
+}
+
 fn default_threads() -> usize {
     for var in ["PBW_THREADS", "RAYON_NUM_THREADS"] {
-        if let Ok(v) = std::env::var(var) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
+        if let Some(v) = std::env::var_os(var) {
+            return parse_width(var, &v.to_string_lossy()).unwrap_or_else(|e| panic!("{e}"));
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    cores()
 }
 
 /// The effective parallel width for the calling thread: a
@@ -534,27 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn range_tasks_cover_range_disjointly_at_any_floor() {
-        for width in [2, 8] {
-            for min_chunk in [1usize, 3, 7, 100, 5000] {
-                wide(width).install(|| {
-                    let hits: Vec<AtomicU64> = (0..997).map(|_| AtomicU64::new(0)).collect();
-                    run_range_tasks(997, min_chunk, &|start, end| {
-                        assert!(start < end && end <= 997);
-                        for h in &hits[start..end] {
-                            h.fetch_add(1, Ordering::SeqCst);
-                        }
-                    });
-                    assert!(
-                        hits.iter().all(|h| h.load(Ordering::SeqCst) == 1),
-                        "width {width} min_chunk {min_chunk}"
-                    );
-                });
-            }
-        }
-    }
-
-    #[test]
     fn task_panic_propagates_to_caller() {
         for width in [1, 4] {
             let err = std::panic::catch_unwind(|| {
@@ -586,31 +403,35 @@ mod tests {
     }
 
     #[test]
-    fn stealing_recruits_other_threads() {
-        // Pieces that sleep give sleeping workers time to wake and steal,
-        // so more than one thread must end up executing — even on one core
-        // (the caller spends its piece blocked in `sleep`, yielding the
-        // core). Warm the pool first so workers exist and are idle; retry a
-        // few times to absorb scheduler noise.
+    fn helpers_recruit_other_threads() {
+        // Tasks that sleep give a woken helper time to claim one, so more
+        // than one thread must end up executing whenever the host has a
+        // second CPU (the caller spends its task blocked in `sleep`). On a
+        // 1-CPU host the core cap wakes no helper: exactly one thread runs
+        // every task. Warm the pool first so workers exist; retry a few
+        // times to absorb scheduler noise.
         use std::collections::HashSet;
         use std::sync::Mutex as StdMutex;
+        let cap = cores().min(4);
+        let want = cap.min(2);
         wide(4).install(|| {
             run_tasks(8, &|_| {
                 std::thread::sleep(std::time::Duration::from_millis(1))
             });
             for attempt in 0..3 {
                 let seen: StdMutex<HashSet<std::thread::ThreadId>> = StdMutex::new(HashSet::new());
-                run_range_tasks(8, 1, &|_, _| {
+                run_tasks(8, &|_| {
                     seen.lock().unwrap().insert(std::thread::current().id());
                     std::thread::sleep(std::time::Duration::from_millis(2));
                 });
                 let n = seen.lock().unwrap().len();
-                if n >= 2 {
+                assert!(n <= cap, "{n} threads ran tasks on {} CPU(s)", cores());
+                if n >= want {
                     return;
                 }
                 assert!(
                     attempt < 2,
-                    "no steal observed in 3 attempts (got {n} thread)"
+                    "no helper claimed a task in 3 attempts (got {n} thread)"
                 );
             }
         });
@@ -630,5 +451,18 @@ mod tests {
     fn width_zero_builder_keeps_default() {
         let pool = ThreadPoolBuilder::new().build().unwrap();
         assert_eq!(pool.current_num_threads(), current_num_threads());
+    }
+
+    #[test]
+    fn width_variables_accept_only_positive_whole_numbers() {
+        assert_eq!(parse_width("PBW_THREADS", "8"), Ok(8));
+        assert_eq!(parse_width("PBW_THREADS", " 4\n"), Ok(4));
+        for bad in ["abc", "0", "", "-2", "2.5", "4 threads"] {
+            let err = parse_width("RAYON_NUM_THREADS", bad).unwrap_err();
+            assert!(
+                err.contains("RAYON_NUM_THREADS") && err.contains(&format!("{bad:?}")),
+                "{bad:?}: {err}"
+            );
+        }
     }
 }

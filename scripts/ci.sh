@@ -60,6 +60,9 @@ stage_build() {
 # inside one run.
 stage_test-w1() {
   PBW_THREADS=1 cargo test --workspace -q
+  # The rayon shim sits outside the workspace, so its pool tests need
+  # their own invocation.
+  cargo test --release -q --manifest-path crates/shims/rayon/Cargo.toml
 }
 
 stage_test-w4() {
@@ -194,6 +197,13 @@ stage_cross-width-determinism() {
     done
     echo "ok: $scen trace is byte-identical at PBW_THREADS=1, 4, and 8"
   done
+  # A mistyped width must fail loudly, not fall back to another width and
+  # compare that width with itself.
+  local rc=0
+  PBW_THREADS=abc cargo run --release -q -p pbw-bench --bin reproduce -- --quick table1 >/dev/null 2>"$out" || rc=$?
+  [ "$rc" -ne 0 ] && grep -q 'PBW_THREADS="abc"' "$out" \
+    || { echo "PBW_THREADS=abc exited $rc without naming the variable" >&2; exit 1; }
+  echo "ok: PBW_THREADS=abc is rejected by name"
 }
 
 # Seeded chaos soak: crashes x fault zoo, seeded, replay-diffed.
@@ -212,6 +222,12 @@ stage_bench-gate() {
 # hosts; overhead ceiling + cross-width determinism on 1-core containers.
 stage_parallel-gate() {
   scripts/bench_gate.sh --parallel
+  # The 1.25x ceiling a 1-CPU host must meet is what the pool's core cap
+  # exists for: check it on every host by pinning the gate to one CPU.
+  if command -v taskset >/dev/null && [ "$(nproc)" -ge 2 ]; then
+    echo "== parallel gate pinned to one CPU =="
+    taskset -c 0 scripts/bench_gate.sh --parallel
+  fi
 }
 
 # ThreadSanitizer needs -Zbuild-std (so std itself is instrumented), which

@@ -540,12 +540,6 @@ fn explicit_slot_phases_stay_on_the_allocation_free_path() {
 fn steady_state_supersteps_allocate_o1_parallel() {
     let _guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let _all_threads = CountAllThreads::start();
-    // Autotuned chunk sizing is timing-fed: the sequential cutoff can
-    // engage at one message volume and not the other, which legitimately
-    // flickers the dispatch's constant allocation count by one or two.
-    // Pin chunking so dispatch allocations are a pure function of p and
-    // the counts compare exactly; results are unaffected by the pin.
-    rayon::tune::pin_min_chunk(Some(8));
     rayon::ThreadPoolBuilder::new()
         .num_threads(8)
         .build()
@@ -578,5 +572,4 @@ fn steady_state_supersteps_allocate_o1_parallel() {
                 2,
             );
         });
-    rayon::tune::pin_min_chunk(None);
 }
